@@ -2,14 +2,22 @@
 systems, and fans, all driven by one unit-capacity flow routine on the
 vertex-split digraph.
 
-Determinism contract: augmenting paths are found by BFS exploring arcs in
-ascending node order, and flow decomposition always follows the lowest
-available successor, so identical inputs give identical path systems.
+The flow indexes, per node, the tails of the flow-carrying arcs into it, so
+its residual reverse arcs are read without scanning the whole flow.  Vertex
+connectivity follows Esfahanian and Hakimi (Networks 14, 1984): flows run
+only from a minimum-degree vertex v to its non-neighbours and between
+non-adjacent neighbours of v, (n - delta - 1) + delta(delta - 1)/2 at most.
+
+Determinism contract: augmenting paths are found by BFS exploring the
+residual arcs of each node in ascending node order, and flow decomposition
+always follows the lowest available successor, so identical inputs give
+identical path systems and fans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph
@@ -64,9 +72,13 @@ def _build_arcs(
 
 def _max_flow(
     arcs: dict[int, list[int]], s: int, t: int, need: Optional[int]
-) -> dict[tuple[int, int], int]:
-    """Unit-capacity max flow via BFS augmentation; returns the flow dict."""
-    flow: dict[tuple[int, int], int] = {}
+) -> set[tuple[int, int]]:
+    """Unit-capacity max flow via BFS augmentation; returns the arcs that
+    carry flow."""
+    flow: set[tuple[int, int]] = set()
+    # back[x]: tails y of arcs (y, x) carrying flow, i.e. the residual
+    # reverse arcs out of x.
+    back: dict[int, set[int]] = {}
     value = 0
     while need is None or value < need:
         # BFS over residual arcs, ascending node order.
@@ -76,10 +88,10 @@ def _max_flow(
         while qi < len(queue) and t not in parent:
             x = queue[qi]
             qi += 1
-            fwd = [y for y in arcs.get(x, ()) if flow.get((x, y), 0) == 0]
-            # residual reverse arcs: flow on (y, x) may be pushed back
-            rev = [y for (y, x2), f in flow.items() if x2 == x and f == 1]
-            for y in sorted(set(fwd) | set(rev)):
+            residual = [y for y in arcs.get(x, ()) if (x, y) not in flow]
+            if back.get(x):
+                residual = sorted(back[x].union(residual))
+            for y in residual:
                 if y not in parent:
                     parent[y] = x
                     queue.append(y)
@@ -88,23 +100,22 @@ def _max_flow(
         node = t
         while node != s:
             prev = parent[node]
-            if flow.get((node, prev), 0) == 1:
-                flow[(node, prev)] = 0
+            if (node, prev) in flow:
+                flow.discard((node, prev))
+                back[prev].discard(node)
             else:
-                flow[(prev, node)] = 1
+                flow.add((prev, node))
+                back.setdefault(node, set()).add(prev)
             node = prev
         value += 1
     return flow
 
 
-def _decompose(
-    flow: dict[tuple[int, int], int], s: int, t: int
-) -> list[list[int]]:
+def _decompose(flow: set[tuple[int, int]], s: int, t: int) -> list[list[int]]:
     """Split-node flow -> list of original-vertex paths, lex-lowest first."""
     succ: dict[int, list[int]] = {}
-    for (x, y), f in flow.items():
-        if f == 1:
-            succ.setdefault(x, []).append(y)
+    for x, y in flow:
+        succ.setdefault(x, []).append(y)
     for x in succ:
         succ[x].sort()
     paths = []
@@ -138,8 +149,7 @@ def max_disjoint_paths(
         raise ValueError("endpoints must differ")
     arcs = _build_arcs(g, avoid - {u, v})
     flow = _max_flow(arcs, _node_out(u), _node_in(v), need)
-    raw = _decompose(flow, _node_out(u), _node_in(v))
-    return raw
+    return _decompose(flow, _node_out(u), _node_in(v))
 
 
 def local_connectivity(g: Graph, u: int, v: int, avoid: frozenset[int] = frozenset()) -> int:
@@ -154,11 +164,16 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     if g.is_complete():
         return g.n - 1
-    best = g.n
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if not g.has_edge(a, b):
-                best = min(best, local_connectivity(g, a, b))
+    # A minimum cut C either misses v, and then separates v from some
+    # non-neighbour, or contains v, and then separates two neighbours of v
+    # (v has a neighbour in every component of G - C).
+    v = min(range(g.n), key=g.degree)
+    nbrs = g.neighbors(v)
+    pairs = [(v, w) for w in range(g.n) if w != v and not g.has_edge(v, w)]
+    pairs += [(a, b) for a, b in combinations(nbrs, 2) if not g.has_edge(a, b)]
+    best = len(nbrs)
+    for a, b in pairs:
+        best = min(best, len(max_disjoint_paths(g, a, b, need=best)))
     return best
 
 
@@ -281,30 +296,12 @@ def fan(
     # exit is the arc to the auxiliary sink.
     arcs = _build_arcs(g, avoid=avoid, no_exit=frozenset(y) - {x}, extra_arcs=extra)
     flow = _max_flow(arcs, _node_out(x), aux_in, r)
-    split_succ: dict[int, list[int]] = {}
-    for (a, b), f in flow.items():
-        if f == 1:
-            split_succ.setdefault(a, []).append(b)
-    for a in split_succ:
-        split_succ[a].sort()
-    paths = []
-    s = _node_out(x)
-    while split_succ.get(s):
-        node = split_succ[s].pop(0)
-        split_path = [s, node]
-        while node != aux_in:
-            nxt = split_succ[node].pop(0)
-            split_path.append(nxt)
-            node = nxt
-        verts = []
-        for sn in split_path[:-1]:  # drop auxiliary sink
-            vtx = sn // 2
-            if not verts or verts[-1] != vtx:
-                verts.append(vtx)
-        paths.append(verts)
+    # Every path ends in the auxiliary sink; dropping it keeps the order,
+    # since no path runs through another's terminal.
+    paths = [p[:-1] for p in _decompose(flow, _node_out(x), aux_in)]
     if len(paths) < r:
         return None
-    result = Fan(x, y, tuple(tuple(p) for p in sorted(paths)))
+    result = Fan(x, y, tuple(tuple(p) for p in paths))
     err = result.check(g)
     assert err is None, f"internal error: flow produced invalid fan: {err}"
     return result

@@ -258,7 +258,7 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" header + "u v" lines format; '#' starts a comment."""
     lines = text.splitlines()
     header = None
-    edges: list[Edge] = []
+    edges: set[Edge] = set()
     expect_m = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -285,9 +285,9 @@ def parse_edge_list(text: str) -> Graph:
         if a == b:
             raise GraphFormatError(f"line {lineno}: self-loop at {a}")
         e = _norm_edge(a, b)
-        if e in set(edges):
+        if e in edges:
             raise GraphFormatError(f"line {lineno}: duplicate edge ({a},{b})")
-        edges.append(e)
+        edges.add(e)
     if header is None:
         raise GraphFormatError("empty input: missing 'n m' header")
     if len(edges) != expect_m:

@@ -1,9 +1,16 @@
 import json
+import random
 
 import pytest
 
 from treeconn import cli
-from treeconn.graphs import complete, complete_bipartite, format_edge_list
+from treeconn.graphs import (
+    cartesian_product,
+    complete,
+    complete_bipartite,
+    cycle,
+    format_edge_list,
+)
 
 
 @pytest.fixture
@@ -75,6 +82,23 @@ def test_kappa3_formula_unknown_family(tmp_path, capsys):
     p = tmp_path / "odd.el"
     p.write_text("4 4\n0 1\n1 2\n2 3\n0 2\n")
     assert run(["kappa3", str(p), "--mode", "formula"]) == cli.EXIT_INPUT
+
+
+def test_kappa3_bounds_shuffled_product(tmp_path, capsys):
+    # K4 □ C6 with shuffled ids and edge order; by Spacapan,
+    # kappa(G □ H) = min(kappa(G)|H|, kappa(H)|G|, delta(G) + delta(H)).
+    g = cartesian_product(complete(4), cycle(6))
+    rng = random.Random(7)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[a], perm[b]) for a, b in sorted(g.edges)]
+    rng.shuffle(edges)
+    p = tmp_path / "k4c6.el"
+    p.write_text(f"{g.n} {g.m}\n" + "".join(f"{a} {b}\n" for a, b in edges))
+    expected = min(3 * 6, 2 * 4, 3 + 2)
+    assert run(["kappa3", str(p), "--mode", "bounds"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"kappa = {expected}", "4 <= kappa3 <= 5"]
 
 
 def test_kappa3_missing_file():

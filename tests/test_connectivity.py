@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treeconn import connectivity
 from treeconn.connectivity import (
     Fan,
     PathSystem,
@@ -77,6 +78,15 @@ SMALL_GRAPHS = [
     cartesian_product(cycle(3), path(2)),
     Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]),
     Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]),  # bridge
+    # Two K5s joined through vertex 0, the lowest-id vertex of minimum
+    # degree: it lies in every minimum cut, so kappa = 1 is found only by a
+    # flow between two of its neighbours.
+    Graph(
+        11,
+        [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+        + [(a, b) for a in range(6, 11) for b in range(a + 1, 11)]
+        + [(0, 1), (0, 2), (0, 6), (0, 7)],
+    ),
 ]
 
 
@@ -193,3 +203,81 @@ def test_random_graph_connectivity_property(n, data):
     ]
     g = Graph(n, edges)
     assert vertex_connectivity(g) == cut_oracle_global(g)
+
+
+# -- pinned outputs of the flow layer ----------------------------------------
+# Literal expected values.  Certificates are built from these exact paths,
+# so a change to arc order, BFS order or flow decomposition must fail here,
+# not only in the certificate digests.
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def test_flow_outputs_pinned_k33():
+    g = complete_bipartite(3, 3)
+    assert max_disjoint_paths(g, 0, 1) == [[0, 3, 1], [0, 4, 1], [0, 5, 1]]
+    assert disjoint_paths(g, 0, 2, 2) == PathSystem(0, 2, ((0, 3, 2), (0, 4, 2)))
+    assert fan(g, 0, [1, 2, 4], 3) == Fan(
+        0, (1, 2, 4), ((0, 3, 1), (0, 4), (0, 5, 2))
+    )
+
+
+def test_flow_outputs_pinned_c4_c4():
+    g = cartesian_product(cycle(4), cycle(4))
+    assert max_disjoint_paths(g, 0, 10) == [
+        [0, 1, 2, 6, 10],
+        [0, 3, 7, 11, 10],
+        [0, 4, 5, 9, 10],
+        [0, 12, 13, 14, 10],
+    ]
+    assert disjoint_paths(g, 0, 5, 4) == PathSystem(
+        0, 5, ((0, 1, 5), (0, 3, 2, 6, 5), (0, 4, 5), (0, 12, 8, 9, 5))
+    )
+    assert fan(g, 0, [2, 8, 10, 15], 4) == Fan(
+        0,
+        (2, 8, 10, 15),
+        ((0, 1, 2), (0, 3, 15), (0, 4, 8), (0, 12, 13, 9, 10)),
+    )
+    # Here the BFS scans residual reverse arcs and their order decides the
+    # paths.
+    assert fan(g, 0, [1, 2, 6, 8], 4) == Fan(
+        0, (1, 2, 6, 8), ((0, 1), (0, 3, 2), (0, 4, 5, 6), (0, 12, 8))
+    )
+
+
+def test_flow_outputs_pinned_petersen_avoid():
+    g = _petersen()
+    five = frozenset({5})
+    assert max_disjoint_paths(g, 0, 7, avoid=five) == [[0, 1, 2, 7], [0, 4, 9, 7]]
+    assert disjoint_paths(g, 0, 8, 2, avoid=five) == PathSystem(
+        0, 8, ((0, 1, 6, 8), (0, 4, 3, 8))
+    )
+    assert fan(g, 0, [3, 7, 8], 3, avoid=five) is None
+    assert fan(g, 0, [3, 7, 8], 3, avoid=frozenset({2})) == Fan(
+        0, (3, 7, 8), ((0, 1, 6, 8), (0, 4, 3), (0, 5, 7))
+    )
+
+
+def test_vertex_connectivity_flow_count(monkeypatch):
+    # Esfahanian-Hakimi: at most (n - delta - 1) + delta(delta - 1)/2 flows;
+    # one flow per nonadjacent pair would be 1,824 here.
+    g = cartesian_product(complete_bipartite(4, 4), cycle(8))
+    calls = 0
+    real = connectivity.max_disjoint_paths
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "max_disjoint_paths", counting)
+    assert vertex_connectivity(g) == 6
+    n, delta = g.n, g.min_degree()
+    bound = (n - delta - 1) + delta * (delta - 1) // 2
+    assert bound == 72
+    assert calls <= bound

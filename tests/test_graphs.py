@@ -145,6 +145,15 @@ def test_parse_rejects_malformed():
             parse_edge_list(text)
 
 
+def test_parse_names_line_of_late_duplicate():
+    edges = [(a, b) for a in range(100) for b in range(a + 1, 100)][:3000]
+    lines = [f"100 {len(edges) + 1}"] + [f"{a} {b}" for a, b in edges]
+    lines.append(f"{edges[0][1]} {edges[0][0]}")
+    with pytest.raises(GraphFormatError) as err:
+        parse_edge_list("\n".join(lines) + "\n")
+    assert str(err.value) == f"line 3002: duplicate edge ({edges[0][1]},{edges[0][0]})"
+
+
 def test_parse_comments_and_blanks():
     g = parse_edge_list("# header\n3 2\n\n0 1  # an edge\n1 2\n")
     assert g.n == 3 and g.m == 2
