@@ -6,24 +6,27 @@ exactly the first t of them.  A reduced bundle adds s - 2t connector paths
 from u3 to the u3-free paths, aligned so connector i terminates on path
 t + i.
 
-The finders are bounded exhaustive searches (lexicographic order, smallest
-t first); they produce witnesses for certificate generation at desk scale,
-not efficient algorithms.
+The finders are bounded exhaustive searches over `connectivity.simple_paths`
+(smallest t first); they produce witnesses for certificate generation at
+desk scale, not efficient algorithms.  `_segments_triple`, the search for
+three vertex-disjoint segments behind the cycle finder, also threads the
+Lemma 4.1 trees in `certificates`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .connectivity import (
     check_path,
     max_disjoint_paths,
     path_edges,
+    simple_paths,
     vertex_connectivity,
 )
-from .errors import Budget, ConstructionError
+from .errors import Budget
 from .graphs import Graph
 
 DEFAULT_BUDGET = 10**7
@@ -122,38 +125,7 @@ def verify_reduced_bundle(g: Graph, rb: ReducedPathBundle) -> Optional[str]:
     return None
 
 
-# -- path enumeration -----------------------------------------------------
-
-
-def _paths_between(
-    g: Graph,
-    start: int,
-    goals: frozenset[int],
-    banned: frozenset[int],
-    budget: Budget,
-) -> Iterator[list[int]]:
-    """Simple paths from start to any goal, internal vertices outside
-    banned and goals, in lexicographic order."""
-    path = [start]
-    on_path = {start}
-
-    def rec() -> Iterator[list[int]]:
-        budget.tick()
-        for y in g.neighbors(path[-1]):
-            if y in on_path:
-                continue
-            if y in goals:
-                yield path + [y]
-        for y in g.neighbors(path[-1]):
-            if y in on_path or y in goals or y in banned:
-                continue
-            path.append(y)
-            on_path.add(y)
-            yield from rec()
-            path.pop()
-            on_path.remove(y)
-
-    yield from rec()
+# -- bundle search -------------------------------------------------------
 
 
 def _flow_at_least(g: Graph, u: int, v: int, need: int, avoid: frozenset[int]) -> bool:
@@ -206,9 +178,9 @@ def _search_bundle(
             return None
         banned = frozenset(used | {u1, u2})
         prev = tuple(through[-1]) if through else None
-        for p1 in _paths_between(g, u1, frozenset({u3}), banned, budget):
+        for p1 in simple_paths(g, u1, frozenset({u3}), banned, budget):
             inner1 = set(p1[1:-1])
-            for p2 in _paths_between(
+            for p2 in simple_paths(
                 g, u3, frozenset({u2}), banned | frozenset(inner1), budget
             ):
                 p = p1 + p2[1:]
@@ -240,7 +212,7 @@ def _search_bundle(
             return None
         banned = frozenset(used | {u1, u2, u3})
         prev = tuple(free[-1]) if free else None
-        for p in _paths_between(g, u1, frozenset({u2}), banned, budget):
+        for p in simple_paths(g, u1, frozenset({u2}), banned, budget):
             if prev is not None and tuple(p) <= prev:
                 continue
             pedges = set(path_edges(p))
@@ -306,7 +278,7 @@ def _assign_connectors(
         banned = frozenset(
             (x_all - target) | through_internal | used_internal
         )
-        for mp in _paths_between(g, u3, target, banned, budget):
+        for mp in simple_paths(g, u3, target, banned, budget):
             inner = set(mp[1:-1])
             if inner & x_all:
                 continue
@@ -351,30 +323,28 @@ def find_cycle_through_edges(
         raise ValueError("graph must be 3-connected")
 
     a1, b1 = edges[0]
-    end_set = frozenset(ends)
     for second, third in ((edges[1], edges[2]), (edges[2], edges[1])):
         for x0, x1 in (second, second[::-1]):
             for y0, y1 in (third, third[::-1]):
-                cyc = _three_segments(g, a1, b1, x0, x1, y0, y1, end_set, budget)
-                if cyc is not None:
-                    return _canonical_cycle(cyc)
+                segs = _segments_triple(g, b1, x0, x1, y0, y1, a1, budget)
+                if segs is not None:
+                    p, q, r = segs
+                    return _canonical_cycle([a1] + p + q + r[:-1])
     return None
 
 
-def _three_segments(g, a1, b1, x0, x1, y0, y1, end_set, budget):
-    """Vertex-disjoint paths b1->x0, x1->y0, y1->a1 avoiding the other
-    special-edge endpoints internally."""
-    base_banned = end_set
-    for p in _paths_between(g, b1, frozenset({x0}), base_banned, budget):
-        used_p = set(p)
-        for q in _paths_between(
-            g, x1, frozenset({y0}), base_banned | frozenset(used_p), budget
-        ):
-            used_q = used_p | set(q)
-            for r in _paths_between(
-                g, y1, frozenset({a1}), base_banned | frozenset(used_q), budget
-            ):
-                return [a1] + p + q + r[:-1]
+def _segments_triple(
+    g: Graph, a: int, b: int, c: int, d: int, e: int, f: int, budget: Budget
+) -> Optional[tuple[list[int], list[int], list[int]]]:
+    """Vertex-disjoint paths a->b, c->d, e->f avoiding all six endpoints
+    internally; the first found in `simple_paths` order."""
+    ends = frozenset({a, b, c, d, e, f})
+    for p in simple_paths(g, a, frozenset({b}), ends, budget):
+        used_p = frozenset(p)
+        for q in simple_paths(g, c, frozenset({d}), ends | used_p, budget):
+            used_q = used_p | frozenset(q)
+            for r in simple_paths(g, e, frozenset({f}), ends | used_q, budget):
+                return p, q, r
     return None
 
 

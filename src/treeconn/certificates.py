@@ -6,7 +6,8 @@ explicit family of internally disjoint S-trees realizing the applicable
 lower bound.  Each construction assembles trees as unions of fiber pieces
 (paths, fans, whole fibers), materializes them (spanning tree + leaf trim),
 and re-verifies the whole bundle; on any hypothesis failure it falls back
-to exact search on the product, tagged "search-fallback".
+to exact search on the product, tagged "search-fallback".  Each
+construction computes the factors' connectivity once and passes it on.
 
 Tree pieces live in flat product ids: (u, v) -> u * |V(H)| + v.
 """
@@ -18,10 +19,10 @@ from itertools import permutations
 from math import ceil
 from typing import Iterable, Optional, Sequence
 
-from .bundles import DEFAULT_BUDGET, _paths_between, find_reduced_bundle
+from .bundles import DEFAULT_BUDGET, _segments_triple, find_reduced_bundle
 from .connectivity import fan, max_disjoint_paths, vertex_connectivity
-from .errors import Budget
-from .graphs import Graph, cartesian_product, flat_id
+from .errors import Budget, BudgetExhausted
+from .graphs import Edge, Graph, cartesian_product, flat_id
 from .packing import (
     DEFAULT_PACK_BUDGET,
     STree,
@@ -31,8 +32,6 @@ from .packing import (
     pack_trees,
     verify_bundle,
 )
-
-Edge = tuple[int, int]
 
 
 # -- position classification ----------------------------------------------
@@ -117,25 +116,11 @@ def _gpath(p: Sequence[int], v: int, m: int) -> set[Edge]:
     return {_e(flat_id(a, v, m), flat_id(b, v, m)) for a, b in zip(p, p[1:])}
 
 
-def _hedge(u: int, va: int, vb: int, m: int) -> set[Edge]:
-    return {_e(flat_id(u, va, m), flat_id(u, vb, m))}
-
-
-def _gedge(ua: int, ub: int, v: int, m: int) -> set[Edge]:
-    return {_e(flat_id(ua, v, m), flat_id(ub, v, m))}
-
-
-def _gfiber(g: Graph, v: int, m: int) -> set[Edge]:
-    return {_e(flat_id(a, v, m), flat_id(b, v, m)) for a, b in g.edges}
-
-
-def _hfiber(h: Graph, u: int, m: int, exclude: Iterable[int] = ()) -> set[Edge]:
+def _fiber(copy, f: Graph, x: int, m: int, exclude: Iterable[int] = ()) -> set[Edge]:
+    """Factor f minus `exclude`, copied edge by edge with `copy`: _gpath
+    for layer x (f = G), _hpath for the fiber of column x (f = H)."""
     ex = set(exclude)
-    return {
-        _e(flat_id(u, a, m), flat_id(u, b, m))
-        for a, b in h.edges
-        if a not in ex and b not in ex
-    }
+    return {e for a, b in f.edges if a not in ex and b not in ex for e in copy((a, b), x, m)}
 
 
 def _transpose_tree(edges: Iterable[Edge], gn: int, hn: int) -> set[Edge]:
@@ -251,25 +236,27 @@ def construct_lemma31(
     if pos.label != "all-distinct":
         raise ValueError("S must have all-distinct coordinates in both factors")
     pairs = pos.pairs
-    claimed = vertex_connectivity(g) + vertex_connectivity(h) - 1
+    kg, kh = vertex_connectivity(g), vertex_connectivity(h)
+    claimed = kg + kh - 1
     us = [u for u, _ in pairs]
     vs = [v for _, v in pairs]
     tri_g = all(g.has_edge(a, b) for a, b in permutations(us, 2) if a < b)
     tri_h = all(h.has_edge(a, b) for a, b in permutations(vs, 2) if a < b)
     if tri_g and tri_h:
-        trees = _lemma31_case2(g, h, pairs, budget)
+        trees = _lemma31_case2(g, h, pairs, kg, kh)
         return _finish(g, h, s, trees, "3.1/2", claimed, budget)
     for swap in (False, True):
         cg, ch = (h, g) if swap else (g, h)
+        k, l = (kh, kg) if swap else (kg, kh)
         cpairs = [(v, u) for u, v in pairs] if swap else list(pairs)
-        if vertex_connectivity(cg) < 2:
+        if k < 2:
             continue
         for perm in permutations(range(3)):
             roles = [cpairs[i] for i in perm]
             (u1, v1), (u2, v2), (u3, v3) = roles
             if ch.has_edge(v1, v2):
                 continue
-            built = _lemma31_case1(cg, ch, u1, u2, u3, v1, v2, v3, budget)
+            built = _lemma31_case1(cg, ch, k, l, u1, u2, u3, v1, v2, v3)
             if built is not None:
                 trees, tag = built
                 if swap:
@@ -281,17 +268,16 @@ def construct_lemma31(
 def _lemma31_case1(
     cg: Graph,
     ch: Graph,
+    k: int,
+    l: int,
     u1: int,
     u2: int,
     u3: int,
     v1: int,
     v2: int,
     v3: int,
-    budget: Optional[Budget],
 ) -> Optional[tuple[list[set[Edge]], str]]:
-    k = vertex_connectivity(cg)
-    l = vertex_connectivity(ch)
-    if k < 2 or l < 1:
+    if l < 1:
         return None
     m = ch.n
     paths = max_disjoint_paths(ch, v1, v2, need=l)
@@ -317,8 +303,8 @@ def _lemma31_case1(
     for j in range(l - 1):
         trees.append(
             _hpath(hp[j][:-1], u1, m)
-            | _gfiber(cg, preds[j], m)
-            | _hedge(u2, v2, preds[j], m)
+            | _fiber(_gpath, cg, preds[j], m)
+            | _hpath((v2, preds[j]), u2, m)
             | _hpath(hq[preds[j]], u3, m)
         )
 
@@ -342,8 +328,8 @@ def _lemma31_case1(
     def standard_tree(r: Sequence[int], upred: int, spath: Sequence[int]) -> set[Edge]:
         return (
             _gpath(r[:-1], v1, m)
-            | _hfiber(ch, upred, m, exclude=x_set)
-            | _gedge(upred, u2, v2, m)
+            | _fiber(_hpath, ch, upred, m, x_set)
+            | _gpath((upred, u2), v2, m)
             | _gpath(spath, v3, m)
         )
 
@@ -359,7 +345,7 @@ def _lemma31_case1(
             trees.append(standard_tree(gq[j], gpreds[j], sp[gpreds[j]]))
         trees.append(
             _gpath(gq[k - 2], v1, m)
-            | _hfiber(ch, u2, m, exclude=x_set)
+            | _fiber(_hpath, ch, u2, m, x_set)
             | _gpath(sp[u2], v3, m)
         )
         return trees, "3.1/1.1"
@@ -375,7 +361,7 @@ def _lemma31_case1(
         trees.append(standard_tree(gq[j], gpreds[j], sp[gpreds[j]]))
     trees.append(
         _gpath(gq[k - 2], v1, m)
-        | _hfiber(ch, u2, m, exclude=x_set)
+        | _fiber(_hpath, ch, u2, m, x_set)
         | _gpath(sp[u2], v3, m)
     )
     trees.append(  # the mixed tree through (u3, v1) and (u1, v2)
@@ -388,15 +374,13 @@ def _lemma31_case1(
 
 
 def _lemma31_case2(
-    g: Graph, h: Graph, pairs: Sequence[tuple[int, int]], budget: Optional[Budget]
+    g: Graph, h: Graph, pairs: Sequence[tuple[int, int]], k: int, l: int
 ) -> Optional[list[set[Edge]]]:
     """Both coordinate triples induce triangles: pack 3 trees inside the
     9-vertex induced subgraph, then thread the remaining k-2 and l-2 trees
     around it."""
     (u1, v1), (u2, v2), (u3, v3) = pairs
     m = h.n
-    k = vertex_connectivity(g)
-    l = vertex_connectivity(h)
     product = cartesian_product(g, h)
     grid_ids = sorted(flat_id(u, v, m) for u in (u1, u2, u3) for v in (v1, v2, v3))
     sub, old = product.induced_subgraph(grid_ids)
@@ -428,8 +412,8 @@ def _lemma31_case2(
         for j in range(l - 2):
             trees.append(
                 _hpath(hp[j][:-1], u1, m)
-                | _gfiber(g, preds[j], m)
-                | _hedge(u2, v2, preds[j], m)
+                | _fiber(_gpath, g, preds[j], m)
+                | _hpath((v2, preds[j]), u2, m)
                 | _hpath(hq[preds[j]], u3, m)
             )
     if k >= 3:
@@ -448,8 +432,8 @@ def _lemma31_case2(
         for j in range(k - 2):
             trees.append(
                 _gpath(gp[j][:-1], v1, m)
-                | _hfiber(h, gpreds[j], m, exclude=x_set)
-                | _gedge(gpreds[j], u2, v2, m)
+                | _fiber(_hpath, h, gpreds[j], m, x_set)
+                | _gpath((gpreds[j], u2), v2, m)
                 | _gpath(sp[gpreds[j]], v3, m)
             )
     return trees
@@ -480,7 +464,12 @@ def construct_lemma32(
     return _finish(g, h, s, trees, "3.2", claimed, budget)
 
 
-def _lemma32_build(g, h, u1, u2, v1, v2, m, k, l) -> Optional[list[set[Edge]]]:
+def _h_opening(
+    h: Graph, v1: int, v2: int, l: int
+) -> Optional[tuple[list[list[int]], list[int], set[int]]]:
+    """Lemmas 3.2 and 3.3 open alike: l disjoint v1-v2 paths in H, direct edge
+    last, and X, the second vertices of the first l - 1, with v2 outside X
+    and H - X connected; None when that fails."""
     hp = max_disjoint_paths(h, v1, v2, need=l)
     if len(hp) < l:
         return None
@@ -489,12 +478,20 @@ def _lemma32_build(g, h, u1, u2, v1, v2, m, k, l) -> Optional[list[set[Edge]]]:
     x_set = set(seconds)
     if v2 in x_set or not h.is_connected(avoid=frozenset(x_set)):
         return None
+    return hp, seconds, x_set
+
+
+def _lemma32_build(g, h, u1, u2, v1, v2, m, k, l) -> Optional[list[set[Edge]]]:
+    opening = _h_opening(h, v1, v2, l)
+    if opening is None:
+        return None
+    hp, seconds, x_set = opening
     trees: list[set[Edge]] = []
     for j in range(l - 1):
         trees.append(
             _hpath(hp[j], u1, m)
-            | _gfiber(g, seconds[j], m)
-            | _hedge(u2, v1, seconds[j], m)
+            | _fiber(_gpath, g, seconds[j], m)
+            | _hpath((v1, seconds[j]), u2, m)
         )
     gp = max_disjoint_paths(g, u1, u2, need=k)
     if len(gp) < k:
@@ -504,8 +501,8 @@ def _lemma32_build(g, h, u1, u2, v1, v2, m, k, l) -> Optional[list[set[Edge]]]:
         sec = gp[j][1]
         trees.append(
             _gpath(gp[j], v1, m)
-            | _hfiber(h, sec, m, exclude=x_set)
-            | _gedge(u1, sec, v2, m)
+            | _fiber(_hpath, h, sec, m, x_set)
+            | _gpath((u1, sec), v2, m)
         )
     trees.append(_hpath(hp[l - 1], u1, m) | _gpath(gp[k - 1], v1, m))
     return trees
@@ -521,8 +518,10 @@ def construct_lemma33(
     pos = classify_position(g, h, s)
     if pos.label != "two-share-one-apart":
         raise ValueError("S must have exactly one shared coordinate")
-    claimed = vertex_connectivity(g) + vertex_connectivity(h) - 1
+    kg, kh = vertex_connectivity(g), vertex_connectivity(h)
+    claimed = kg + kh - 1
     cg, ch = (h, g) if pos.swap else (g, h)
+    k, l = (kh, kg) if pos.swap else (kg, kh)
     cpairs = [(v, u) for u, v in pos.pairs] if pos.swap else list(pos.pairs)
     vs = [v for _, v in cpairs]
     v1 = max(set(vs), key=vs.count)
@@ -530,7 +529,7 @@ def construct_lemma33(
     shared = sorted(u for u, v in cpairs if v == v1)
     (u3,) = [u for u, v in cpairs if v == v2]
     for ua, ub in (shared, shared[::-1]):
-        trees = _lemma33_build(cg, ch, ua, ub, u3, v1, v2)
+        trees = _lemma33_build(cg, ch, k, l, ua, ub, u3, v1, v2)
         if trees is not None:
             if pos.swap:
                 trees = [_transpose_tree(t, g.n, h.n) for t in trees]
@@ -538,24 +537,18 @@ def construct_lemma33(
     return _fallback(g, h, s, claimed, budget)
 
 
-def _lemma33_build(cg, ch, u1, u2, u3, v1, v2) -> Optional[list[set[Edge]]]:
-    k = vertex_connectivity(cg)
-    l = vertex_connectivity(ch)
+def _lemma33_build(cg, ch, k, l, u1, u2, u3, v1, v2) -> Optional[list[set[Edge]]]:
     m = ch.n
-    hp = max_disjoint_paths(ch, v1, v2, need=l)
-    if len(hp) < l:
+    opening = _h_opening(ch, v1, v2, l)
+    if opening is None:
         return None
-    hp = [p for p in hp if len(p) > 2] + [p for p in hp if len(p) == 2]
-    seconds = [p[1] for p in hp[: l - 1]]
-    x_set = set(seconds)
-    if v2 in x_set or not ch.is_connected(avoid=frozenset(x_set)):
-        return None
+    hp, seconds, x_set = opening
     trees: list[set[Edge]] = []
     for j in range(l - 1):
         trees.append(
-            _hedge(u1, v1, seconds[j], m)
-            | _hedge(u2, v1, seconds[j], m)
-            | _gfiber(cg, seconds[j], m)
+            _hpath((v1, seconds[j]), u1, m)
+            | _hpath((v1, seconds[j]), u2, m)
+            | _fiber(_gpath, cg, seconds[j], m)
             | _hpath(hp[j][1:], u3, m)
         )
     gp = max_disjoint_paths(cg, u1, u2, need=k)
@@ -567,7 +560,7 @@ def _lemma33_build(cg, ch, u1, u2, u3, v1, v2) -> Optional[list[set[Edge]]]:
             return None
         trees.append(
             _gpath(gp[0], v1, m)
-            | _hfiber(ch, u2, m, exclude=x_set)
+            | _fiber(_hpath, ch, u2, m, x_set)
             | _gpath(r[0], v2, m)
         )
         return trees
@@ -587,17 +580,17 @@ def _lemma33_build(cg, ch, u1, u2, u3, v1, v2) -> Optional[list[set[Edge]]]:
     for j in range(k - 2):
         trees.append(
             _gpath(gq[j], v1, m)
-            | _hfiber(ch, gsec[j], m, exclude=x_set)
+            | _fiber(_hpath, ch, gsec[j], m, x_set)
             | _gpath(rp[gsec[j]], v2, m)
         )
     trees.append(
         _gpath(gq[k - 2], v1, m)
-        | _hfiber(ch, u1, m, exclude=x_set)
+        | _fiber(_hpath, ch, u1, m, x_set)
         | _gpath(rp[u1], v2, m)
     )
     trees.append(
         _gpath(gq[k - 1], v1, m)
-        | _hfiber(ch, u2, m, exclude=x_set)
+        | _fiber(_hpath, ch, u2, m, x_set)
         | _gpath(rp[u2], v2, m)
     )
     return trees
@@ -624,9 +617,9 @@ def construct_lemma34(
     for t in gbundle.trees:
         trees.append({_e(flat_id(a, v1, m), flat_id(b, v1, m)) for a, b in t.edges})
     for nb in h.neighbors(v1):
-        star = _gfiber(g, nb, m)
+        star = _fiber(_gpath, g, nb, m)
         for u in us:
-            star |= _hedge(u, v1, nb, m)
+            star |= _hpath((v1, nb), u, m)
         trees.append(star)
     return _finish(g, h, s, trees, "3.4", claimed, budget)
 
@@ -674,7 +667,7 @@ def construct_lemma41(
             rb = find_reduced_bundle(
                 h, l, va, vb, v3, t=t, budget=Budget(DEFAULT_BUDGET)
             )
-        except Exception:
+        except BudgetExhausted:
             rb = None
         if rb is not None and (best is None or rb.base.t < best.base.t):
             best = rb
@@ -698,9 +691,9 @@ def construct_lemma41(
     tail = free[n_conn:]
 
     def star(nb: int) -> set[Edge]:
-        es = _hfiber(h, nb, m)
+        es = _fiber(_hpath, h, nb, m)
         for v in (v1, v2, v3):
-            es |= _gedge(u1, nb, v, m)
+            es |= _gpath((u1, nb), v, m)
         return es
 
     def split(p: list[int]) -> tuple[list[int], list[int]]:
@@ -823,44 +816,29 @@ def _lemma41_group(
                 if segs is None:
                     continue
                 sa, sb, sc = ([old[x] for x in p] for p in segs)
-                cross = lambda v: _gedge(u1, uj, v, m)
+                cross = lambda v: _gpath((u1, uj), v, m)
                 tree_a = (
                     _hpath(p12, u1, m)
                     | cross(v1)
-                    | _hedge(uj, v1, a2, m)
+                    | _hpath((v1, a2), uj, m)
                     | _hpath(sa, uj, m)
                     | cross(land3)
                 )
                 tree_b = (
                     _hpath(p_free, u1, m)
                     | cross(v3)
-                    | _hedge(uj, v3, a4, m)
+                    | _hpath((v3, a4), uj, m)
                     | _hpath(sb, uj, m)
                     | cross(land5)
                 )
                 tree_c = (
                     _hpath(p11, u1, m)
                     | cross(v2)
-                    | _hedge(uj, v2, a6, m)
+                    | _hpath((v2, a6), uj, m)
                     | _hpath(sc, uj, m)
                     | cross(land1)
                 )
                 return [tree_a, tree_b, tree_c]
-    return None
-
-
-def _segments_triple(
-    g: Graph, a: int, b: int, c: int, d: int, e: int, f: int, budget: Budget
-) -> Optional[tuple[list[int], list[int], list[int]]]:
-    """Vertex-disjoint paths a->b, c->d, e->f avoiding all six endpoints
-    internally; lexicographically first."""
-    ends = frozenset({a, b, c, d, e, f})
-    for p in _paths_between(g, a, frozenset({b}), ends, budget):
-        used_p = frozenset(p)
-        for q in _paths_between(g, c, frozenset({d}), ends | used_p, budget):
-            used_q = used_p | frozenset(q)
-            for r in _paths_between(g, e, frozenset({f}), ends | used_q, budget):
-                return p, q, r
     return None
 
 

@@ -25,7 +25,7 @@ from .certificates import (
 from .connectivity import kappa3_range_from_kappa, vertex_connectivity
 from .errors import Budget, BudgetExhausted, GraphFormatError, TreeconnError
 from .graphs import Graph, cartesian_product, flat_id
-from .packing import STree, STreeBundle, kappa_k, kappa3_formula, verify_bundle
+from .packing import STree, STreeBundle, kappa_k, kappa3_formula
 
 SCHEMA_VERSION = 1
 
@@ -48,15 +48,14 @@ class InputError(TreeconnError):
 
 def certificate_document(cert: Certificate) -> dict:
     """Self-contained JSON-ready dict; key order is fixed for determinism."""
-    prod = cert.product()
     return {
         "schema_version": SCHEMA_VERSION,
         "factors": {
             "g": _factor_entry(cert.g),
             "h": _factor_entry(cert.h),
         },
-        "product_n": prod.n,
-        "product_m": prod.m,
+        "product_n": cert.g.n * cert.h.n,
+        "product_m": cert.g.n * cert.h.m + cert.h.n * cert.g.m,
         "s": {
             "flat": list(cert.s),
             "pairs": [list(divmod(x, cert.h.n)) for x in cert.s],
@@ -107,8 +106,7 @@ def load_certificate_document(doc: dict) -> tuple[Graph, Graph, Certificate]:
         raise InputError("terminal set must list three flat ids")
     if pairs != [divmod(x, h.n) for x in s]:
         raise InputError("terminal pairs disagree with flat ids")
-    prod = cartesian_product(g, h)
-    if (prod.n, prod.m) != (product_n, product_m):
+    if (g.n * h.n, g.n * h.m + h.n * g.m) != (product_n, product_m):
         raise InputError("product_n/product_m disagree with the factors")
     bundle = STreeBundle(tuple(sorted(s)), trees)
     return g, h, Certificate(g, h, s, bundle, provenance, bound)

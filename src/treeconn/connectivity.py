@@ -1,6 +1,7 @@
 """Menger-style primitives: vertex connectivity, internally disjoint path
 systems, and fans, all driven by one unit-capacity flow routine on the
-vertex-split digraph.
+vertex-split digraph; plus `simple_paths`, the one simple-path enumerator
+that the bundle, packing and certificate searches share.
 
 The flow indexes, per node, the tails of the flow-carrying arcs into it, so
 its residual reverse arcs are read without scanning the whole flow.  Vertex
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
+from .errors import Budget
 from .graphs import Graph
 
 # Split-node helpers: vertex v becomes in-node 2v and out-node 2v+1.
@@ -152,12 +154,6 @@ def max_disjoint_paths(
     return _decompose(flow, _node_out(u), _node_in(v))
 
 
-def local_connectivity(g: Graph, u: int, v: int, avoid: frozenset[int] = frozenset()) -> int:
-    """Number of internally disjoint u-v paths (u,v must be nonadjacent for
-    the Menger reading, but the flow value is returned regardless)."""
-    return len(max_disjoint_paths(g, u, v, need=None, avoid=avoid))
-
-
 def vertex_connectivity(g: Graph) -> int:
     """kappa(G); n-1 for complete graphs, 0 when disconnected."""
     if not g.is_connected():
@@ -175,6 +171,40 @@ def vertex_connectivity(g: Graph) -> int:
     for a, b in pairs:
         best = min(best, len(max_disjoint_paths(g, a, b, need=best)))
     return best
+
+
+# -- simple-path enumeration ----------------------------------------------
+
+
+def simple_paths(
+    g: Graph,
+    start: int,
+    goals: frozenset[int],
+    banned: frozenset[int],
+    budget: Budget,
+) -> Iterator[list[int]]:
+    """Simple paths from start to any goal, internal vertices outside banned
+    and goals; depth-first, at each vertex its goal neighbours first, then
+    the other neighbours ascending; one budget tick per vertex expanded."""
+    path = [start]
+    on_path = {start}
+
+    def rec() -> Iterator[list[int]]:
+        budget.tick()
+        last = path[-1]
+        for y in g.neighbors(last):
+            if y not in on_path and y in goals:
+                yield path + [y]
+        for y in g.neighbors(last):
+            if y in on_path or y in goals or y in banned:
+                continue
+            path.append(y)
+            on_path.add(y)
+            yield from rec()
+            path.pop()
+            on_path.remove(y)
+
+    yield from rec()
 
 
 # -- structured path systems ----------------------------------------------

@@ -17,10 +17,6 @@ class BudgetExhausted(TreeconnError):
     """
 
 
-class ConstructionError(TreeconnError):
-    """Raised when a certificate construction cannot satisfy its hypotheses."""
-
-
 class Budget:
     """Mutable node-expansion counter shared across a search.
 
@@ -36,6 +32,3 @@ class Budget:
         self.used += n
         if self.used > self.limit:
             raise BudgetExhausted(f"search budget of {self.limit} expansions exhausted")
-
-    def remaining(self) -> int:
-        return max(0, self.limit - self.used)

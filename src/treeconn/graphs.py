@@ -98,9 +98,6 @@ class Graph:
 
     # -- derived graphs ---------------------------------------------------
 
-    def with_edges(self, extra: Iterable[Edge]) -> "Graph":
-        return Graph(self.n, set(self.edges) | {_norm_edge(a, b) for a, b in extra})
-
     def induced_subgraph(self, vertices: Sequence[int]) -> tuple["Graph", list[int]]:
         """Induced subgraph relabeled to 0..k-1; returns (graph, old_ids).
 
@@ -207,7 +204,7 @@ def generate(family: str, params: Sequence[int]) -> Graph:
     return fn(*params)
 
 
-# -- Cartesian product and fibers ----------------------------------------
+# -- Cartesian product ---------------------------------------------------
 
 
 def flat_id(u: int, v: int, m: int) -> int:
@@ -232,23 +229,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         for a, b in g.edges:
             edges.append((flat_id(a, v, m), flat_id(b, v, m)))
     return Graph(g.n * m, edges)
-
-
-def fiber_g(g1: Graph, v: int, m: int) -> tuple[set[int], set[Edge]]:
-    """Copy of subgraph g1 of G inside layer v of the product (flat ids).
-
-    g1 is given over G's vertex ids; m = |V(H)|.
-    """
-    verts = {flat_id(u, v, m) for u in range(g1.n)}
-    edges = {_norm_edge(flat_id(a, v, m), flat_id(b, v, m)) for a, b in g1.edges}
-    return verts, edges
-
-
-def fiber_h(h1: Graph, u: int, m: int) -> tuple[set[int], set[Edge]]:
-    """Copy of subgraph h1 of H inside the fiber of column u (flat ids)."""
-    verts = {flat_id(u, v, m) for v in range(h1.n)}
-    edges = {_norm_edge(flat_id(u, a, m), flat_id(u, b, m)) for a, b in h1.edges}
-    return verts, edges
 
 
 # -- edge-list text format ------------------------------------------------

@@ -4,8 +4,9 @@ kappa_3 formula used as an oracle.
 
 Search strategy: trees are packed one at a time in ascending canonical
 order (killing permutation symmetry); minimal S-trees are enumerated
-lazily in the residual graph; partial packings are pruned by terminal
-degrees and pairwise-flow feasibility.
+lazily in the residual graph, their paths by `connectivity.simple_paths`;
+partial packings are pruned by terminal degrees and pairwise-flow
+feasibility.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .connectivity import max_disjoint_paths, vertex_connectivity
+from .connectivity import max_disjoint_paths, simple_paths
 from .errors import Budget
-from .graphs import Graph
+from .graphs import Edge, Graph
 
 DEFAULT_PACK_BUDGET = 10**8
-
-Edge = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,6 @@ class STree:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
-
-    def key(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
 
     def check(self, g: Graph, s: Sequence[int]) -> Optional[str]:
         sset = set(s)
@@ -104,36 +100,6 @@ def verify_bundle(g: Graph, bundle: STreeBundle) -> Optional[str]:
 # -- minimal S-tree enumeration -------------------------------------------
 
 
-def _tree_paths(
-    g: Graph,
-    start: int,
-    goals: frozenset[int],
-    banned: frozenset[int],
-    budget: Budget,
-) -> Iterator[list[int]]:
-    """Simple paths from start to any goal vertex; internal vertices avoid
-    banned and goals; deterministic ascending order."""
-    path = [start]
-    on_path = {start}
-
-    def rec() -> Iterator[list[int]]:
-        budget.tick()
-        last = path[-1]
-        for y in g.neighbors(last):
-            if y not in on_path and y in goals:
-                yield path + [y]
-        for y in g.neighbors(last):
-            if y in on_path or y in goals or y in banned:
-                continue
-            path.append(y)
-            on_path.add(y)
-            yield from rec()
-            path.pop()
-            on_path.remove(y)
-
-    yield from rec()
-
-
 def iter_minimal_s_trees(
     g: Graph,
     s: Sequence[int],
@@ -156,10 +122,6 @@ def iter_minimal_s_trees(
     yield from _iter_trees(g, terms, frozenset(banned_v) - set(terms), frozenset(banned_e), budget)
 
 
-def _edge_ok(e: Edge, banned_e: frozenset[Edge]) -> bool:
-    return e not in banned_e
-
-
 def _path_edges_ok(p: Sequence[int], banned_e: frozenset[Edge]) -> bool:
     for a, b in zip(p, p[1:]):
         if ((a, b) if a < b else (b, a)) in banned_e:
@@ -176,7 +138,7 @@ def _iter_trees(
 ) -> Iterator[STree]:
     if len(terms) == 2:
         a, b = terms
-        for p in _tree_paths(g, a, frozenset({b}), banned_v | frozenset({a}), budget):
+        for p in simple_paths(g, a, frozenset({b}), banned_v | frozenset({a}), budget):
             if _path_edges_ok(p, banned_e):
                 yield STree(frozenset(
                     ((x, y) if x < y else (y, x)) for x, y in zip(p, p[1:])
@@ -192,7 +154,7 @@ def _iter_trees(
             yield sub
             continue
         # attach `last` by a path meeting the subtree at exactly one vertex
-        for p in _tree_paths(
+        for p in simple_paths(
             g,
             last,
             frozenset(tree_verts),
@@ -263,7 +225,7 @@ def pack_trees(
         for tree in _iter_trees(
             g, list(terms), frozenset(banned_v), frozenset(banned_e), budget
         ):
-            key = tree.key()
+            key = tree.sorted_edges()
             if prev_key is not None and key <= prev_key:
                 continue
             internals = set(tree.vertices) - sset
@@ -403,11 +365,6 @@ def kappa_k(
     return best, best_s, best_bundle
 
 
-def kappa_2_equals_kappa(g: Graph, budget: Optional[Budget] = None) -> bool:
-    """Cross-check: kappa_2 computed by tree packing equals kappa by flow."""
-    return kappa_k(g, 2, budget)[0] == vertex_connectivity(g)
-
-
 # -- closed-form oracles ---------------------------------------------------
 
 
@@ -459,31 +416,3 @@ def kappa3_formula(family: str, params: Sequence[int]) -> int:
             raise ValueError("needs a >= 1 and b >= 2")
         return 2 * a + b - 1 if b >= a - 1 else (3 * a + 3 * b - 1) // 2
     raise ValueError(f"unknown family {family!r}")
-
-
-# -- diagnostic tree profiles ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinimalSTreeProfile:
-    """Boundary-edge signature of an S-tree: number of edges inside S,
-    number of boundary edges, number of non-terminal vertices."""
-
-    inner_edges: int
-    boundary_edges: int
-    outside_vertices: int
-    label: str
-
-
-def tree_profile(g: Graph, s: Sequence[int], tree: STree) -> MinimalSTreeProfile:
-    """Classify a tree by its boundary-edge pattern; the letter labels
-    match the tripartite case analysis (A: no S-S edges and two outside
-    vertices, B: one of each, C: a path inside S)."""
-    sset = set(s)
-    inner = sum(1 for a, b in tree.edges if a in sset and b in sset)
-    boundary = sum(1 for a, b in tree.edges if (a in sset) != (b in sset))
-    outside = len(tree.vertices - sset)
-    label = {(0, 2): "A", (1, 1): "B", (2, 0): "C"}.get(
-        (inner, outside), f"X{inner}.{outside}"
-    )
-    return MinimalSTreeProfile(inner, boundary, outside, label)

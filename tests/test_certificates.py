@@ -1,5 +1,6 @@
 import pytest
 
+from treeconn import certificates
 from treeconn.certificates import (
     Certificate,
     certify,
@@ -14,7 +15,9 @@ from treeconn.certificates import (
     lower_bound_theorem15,
     prop42_bound,
 )
+from treeconn.errors import BudgetExhausted
 from treeconn.graphs import (
+    Graph,
     cartesian_product,
     complete,
     complete_bipartite,
@@ -248,3 +251,56 @@ def test_join_complete_empty2_factor():
     # K2 join empty pair: kappa 2 yet kappa3 also 2? cross-check via search
     g = join_complete_empty2(2)
     assert factor_kappa3(g) == 2
+
+
+# -- factor invariants and internal faults ---------------------------------
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[(0, 0), (3, 1), (6, 2)], [(0, 0), (3, 0), (6, 1)]],
+    ids=["all-distinct", "two-share-one-apart"],
+)
+def test_factor_kappa_computed_once_per_construction(monkeypatch, pairs):
+    seen = []
+    real = certificates.vertex_connectivity
+
+    def counting(g):
+        seen.append(g)
+        return real(g)
+
+    monkeypatch.setattr(certificates, "vertex_connectivity", counting)
+    g, h = _petersen(), complete(3)
+    _check(certify(g, h, _s(g, h, pairs)))
+    assert len(seen) <= 2
+
+
+def _same_h_fiber_case():
+    g, h = path(2), complete(4)
+    return g, h, _s(g, h, [(0, 0), (0, 1), (0, 2)])
+
+
+def test_lemma41_internal_fault_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("internal error: invalid bundle found")
+
+    monkeypatch.setattr(certificates, "find_reduced_bundle", broken)
+    with pytest.raises(AssertionError, match="invalid bundle"):
+        certify(*_same_h_fiber_case())
+
+
+def test_lemma41_exhausted_budget_falls_back(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise BudgetExhausted("search budget of 0 expansions exhausted")
+
+    monkeypatch.setattr(certificates, "find_reduced_bundle", exhausted)
+    cert = certify(*_same_h_fiber_case())
+    _check(cert)
+    assert cert.provenance == "search-fallback"

@@ -10,6 +10,7 @@ from treeconn.graphs import (
     complete_bipartite,
     cycle,
     format_edge_list,
+    path,
 )
 
 
@@ -170,6 +171,38 @@ def test_verify_detects_inflated_bound(k3_file, tmp_path, capsys):
     doc["claimed_bound"] = 99
     cert.write_text(json.dumps(doc))
     assert run(["verify", str(cert)]) == cli.EXIT_VERIFY
+
+
+def test_verify_detects_product_m_off_by_one(k3_file, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run(["certify", k3_file, k3_file, "--s", "0,0;1,1;2,2", "--out", str(cert)])
+    doc = json.loads(cert.read_text())
+    doc["product_m"] += 1
+    cert.write_text(json.dumps(doc))
+    assert run(["verify", str(cert)]) == cli.EXIT_INPUT
+    assert "disagree" in capsys.readouterr().err
+
+
+def test_verify_rejects_product_too_large(tmp_path, capsys):
+    # P_1001 box P_1001 exceeds MAX_PRODUCT_VERTICES; the document is
+    # otherwise consistent, so verification reaches the product build
+    p = path(1001)
+    factor = {"n": p.n, "m": p.m, "edges": [list(e) for e in p.sorted_edges()],
+              "sha256": p.sha256()}
+    doc = {
+        "schema_version": 1,
+        "factors": {"g": factor, "h": factor},
+        "product_n": p.n * p.n,
+        "product_m": 2 * p.n * p.m,
+        "s": {"flat": [0, 1, 2], "pairs": [[0, 0], [0, 1], [0, 2]]},
+        "provenance": "search-fallback",
+        "claimed_bound": 1,
+        "trees": [[[0, 1], [1, 2]]],
+    }
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    assert run(["verify", str(cert)]) == cli.EXIT_INPUT
+    assert "too large" in capsys.readouterr().err
 
 
 # -- bounds -----------------------------------------------------------------

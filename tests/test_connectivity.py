@@ -11,7 +11,6 @@ from treeconn.connectivity import (
     fan,
     kappa3_range_from_kappa,
     kappa3_upper_adjacent_min_degree,
-    local_connectivity,
     max_disjoint_paths,
     vertex_connectivity,
 )
@@ -100,7 +99,7 @@ def test_local_connectivity_matches_cut_oracle(g):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if not g.has_edge(u, v):
-                assert local_connectivity(g, u, v) == cut_oracle_local(g, u, v)
+                assert len(max_disjoint_paths(g, u, v)) == cut_oracle_local(g, u, v)
 
 
 def test_known_connectivities():

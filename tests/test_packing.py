@@ -19,13 +19,11 @@ from treeconn.packing import (
     STreeBundle,
     automorphisms,
     iter_minimal_s_trees,
-    kappa_2_equals_kappa,
     kappa_k,
     kappa3_formula,
     max_internally_disjoint_trees,
     pack_trees,
     subset_orbit_reps,
-    tree_profile,
     verify_bundle,
 )
 
@@ -182,7 +180,7 @@ def test_max_trees_monotone_under_edge_removal():
 def test_kappa_2_equals_kappa_cross_check():
     for g in (complete(5), cycle(7), complete_bipartite(2, 4),
               cartesian_product(path(3), path(3))):
-        assert kappa_2_equals_kappa(g)
+        assert kappa_k(g, 2)[0] == vertex_connectivity(g)
 
 
 # -- automorphisms ----------------------------------------------------------
@@ -238,24 +236,6 @@ def test_formula_rejects_bad_input():
         kappa3_formula("complete", [2])
     with pytest.raises(ValueError):
         kappa3_formula("unknown", [1])
-
-
-# -- profiles ---------------------------------------------------------------
-
-
-def test_tree_profile_labels():
-    # parts {0,1}, {2,3}, {4,5}; S takes one vertex per part
-    g = complete_tripartite(2, 2, 2)
-    s = (0, 2, 4)
-    spread = STree(frozenset({(0, 3), (3, 4), (1, 2), (1, 4)}))
-    assert spread.check(g, s) is None
-    assert tree_profile(g, s, spread).label == "A"
-    direct = STree(frozenset({(0, 2), (2, 4)}))
-    assert direct.check(g, s) is None
-    assert tree_profile(g, s, direct).label == "C"
-    mixed = STree(frozenset({(0, 2), (1, 2), (1, 4)}))
-    assert mixed.check(g, s) is None
-    assert tree_profile(g, s, mixed).label == "B"
 
 
 # -- invariants under relabeling -------------------------------------------
