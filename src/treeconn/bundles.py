@@ -302,7 +302,6 @@ def find_cycle_through_edges(
     e2: tuple[int, int],
     e3: tuple[int, int],
     budget: Optional[Budget] = None,
-    check_connectivity: bool = True,
 ) -> Optional[tuple[int, ...]]:
     """A simple cycle containing all three edges, or None.
 
@@ -319,7 +318,7 @@ def find_cycle_through_edges(
     for a, b in edges:
         if not g.has_edge(a, b):
             raise ValueError(f"({a},{b}) is not an edge")
-    if check_connectivity and vertex_connectivity(g) < 3:
+    if vertex_connectivity(g) < 3:
         raise ValueError("graph must be 3-connected")
 
     a1, b1 = edges[0]

@@ -7,7 +7,11 @@ lower bound.  Each construction assembles trees as unions of fiber pieces
 (paths, fans, whole fibers), materializes them (spanning tree + leaf trim),
 and re-verifies the whole bundle; on any hypothesis failure it falls back
 to exact search on the product, tagged "search-fallback".  Each
-construction computes the factors' connectivity once and passes it on.
+construction computes the factors' connectivity once and passes it on, and
+every search it runs ticks the caller's `Budget` (with None, each search
+makes its own default).  Each tree shape is built in one place: Lemma 3.1's
+path-fiber-rung-fan tree by `_rung_tree` in both cases and orientations,
+Lemma 4.1's three-tree braid by one local helper.
 
 Tree pieces live in flat product ids: (u, v) -> u * |V(H)| + v.
 """
@@ -24,7 +28,6 @@ from .connectivity import fan, max_disjoint_paths, vertex_connectivity
 from .errors import Budget, BudgetExhausted
 from .graphs import Edge, Graph, cartesian_product, flat_id
 from .packing import (
-    DEFAULT_PACK_BUDGET,
     STree,
     STreeBundle,
     kappa_k,
@@ -123,6 +126,19 @@ def _fiber(copy, f: Graph, x: int, m: int, exclude: Iterable[int] = ()) -> set[E
     return {e for a, b in f.edges if a not in ex and b not in ex for e in copy((a, b), x, m)}
 
 
+def _rung_tree(along, across, f: Graph, p, homes, fans, m: int, exclude=()) -> set[Edge]:
+    """Lemma 3.1's tree: path p minus its end at homes[0], factor f minus
+    `exclude` copied at x = p[-2], the rung p[-1]-x at homes[1] and the fan
+    path fans[x] at homes[2].  `along` copies p's factor, `across` copies f."""
+    x = p[-2]
+    return (
+        along(p[:-1], homes[0], m)
+        | _fiber(across, f, x, m, exclude)
+        | along((p[-1], x), homes[1], m)
+        | along(fans[x], homes[2], m)
+    )
+
+
 def _transpose_tree(edges: Iterable[Edge], gn: int, hn: int) -> set[Edge]:
     """Map edges of H box G (flat over |V(G)|) into G box H flat ids."""
 
@@ -187,15 +203,10 @@ def _fallback(
     g: Graph, h: Graph, s: Sequence[int], claimed: int, budget: Optional[Budget]
 ) -> Certificate:
     """Exact search on the product, working downward from the claimed bound."""
-    if budget is None:
-        budget = Budget(DEFAULT_PACK_BUDGET)
-    product = cartesian_product(g, h)
-    terms = tuple(sorted(s))
-    for r in range(max(claimed, 1), 0, -1):
-        bundle = pack_trees(product, terms, r, budget)
-        if bundle is not None:
-            return Certificate(g, h, terms, bundle, "search-fallback", r)
-    raise AssertionError("connected product must admit one S-tree")
+    r, bundle = max_internally_disjoint_trees(
+        cartesian_product(g, h), s, budget, upper=max(claimed, 1)
+    )
+    return Certificate(g, h, bundle.s, bundle, "search-fallback", r)
 
 
 def _finish(
@@ -243,7 +254,7 @@ def construct_lemma31(
     tri_g = all(g.has_edge(a, b) for a, b in permutations(us, 2) if a < b)
     tri_h = all(h.has_edge(a, b) for a, b in permutations(vs, 2) if a < b)
     if tri_g and tri_h:
-        trees = _lemma31_case2(g, h, pairs, kg, kh)
+        trees = _lemma31_case2(g, h, pairs, kg, kh, budget)
         return _finish(g, h, s, trees, "3.1/2", claimed, budget)
     for swap in (False, True):
         cg, ch = (h, g) if swap else (g, h)
@@ -299,14 +310,7 @@ def _lemma31_case1(
     if fan_h is None:
         return None
     hq = {p[-1]: p for p in fan_h.paths}
-    trees: list[set[Edge]] = []
-    for j in range(l - 1):
-        trees.append(
-            _hpath(hp[j][:-1], u1, m)
-            | _fiber(_gpath, cg, preds[j], m)
-            | _hpath((v2, preds[j]), u2, m)
-            | _hpath(hq[preds[j]], u3, m)
-        )
+    trees = [_rung_tree(_hpath, _gpath, cg, p, (u1, u2, u3), hq, m) for p in hp[: l - 1]]
 
     gp = max_disjoint_paths(cg, u1, u2, need=k)
     if len(gp) < k:
@@ -322,48 +326,23 @@ def _lemma31_case1(
         else:
             tail = rest.pop(-2), rest.pop()
     gq = rest + list(tail)
-    gpreds = [r[-2] for r in gq]
     case12 = bool(via3)
-
-    def standard_tree(r: Sequence[int], upred: int, spath: Sequence[int]) -> set[Edge]:
-        return (
-            _gpath(r[:-1], v1, m)
-            | _fiber(_hpath, ch, upred, m, x_set)
-            | _gpath((upred, u2), v2, m)
-            | _gpath(spath, v3, m)
-        )
-
-    if not case12:
-        targets = set(gpreds[: k - 2]) | {u2, gpreds[k - 1]}
-        if len(targets) != k or u3 in targets:
-            return None
-        fan_g = fan(cg, u3, targets, k)
-        if fan_g is None:
-            return None
-        sp = {p[-1]: p for p in fan_g.paths}
-        for j in list(range(k - 2)) + [k - 1]:
-            trees.append(standard_tree(gq[j], gpreds[j], sp[gpreds[j]]))
-        trees.append(
-            _gpath(gq[k - 2], v1, m)
-            | _fiber(_hpath, ch, u2, m, x_set)
-            | _gpath(sp[u2], v3, m)
-        )
-        return trees, "3.1/1.1"
-
-    targets = set(gpreds[: k - 2]) | {u2}
-    if len(targets) != k - 1 or u3 in targets or u1 in targets:
+    # case 1.1 fans out to every G-predecessor but the (k-1)th; in case 1.2
+    # the last path runs through u3, so it is left out and u1 is avoided
+    idx = list(range(k - 2)) + ([] if case12 else [k - 1])
+    targets = {gq[j][-2] for j in idx} | {u2}
+    if len(targets) != len(idx) + 1 or targets & {u1, u3}:
         return None
-    fan_g = fan(cg, u3, targets, k - 1, avoid=frozenset({u1}))
+    fan_g = fan(cg, u3, targets, len(targets), avoid=frozenset({u1} if case12 else ()))
     if fan_g is None:
         return None
     sp = {p[-1]: p for p in fan_g.paths}
-    for j in range(k - 2):
-        trees.append(standard_tree(gq[j], gpreds[j], sp[gpreds[j]]))
-    trees.append(
-        _gpath(gq[k - 2], v1, m)
-        | _fiber(_hpath, ch, u2, m, x_set)
-        | _gpath(sp[u2], v3, m)
+    trees += [_rung_tree(_gpath, _hpath, ch, gq[j], (v1, v2, v3), sp, m, x_set) for j in idx]
+    trees.append(  # the tree through u2
+        _gpath(gq[k - 2], v1, m) | _fiber(_hpath, ch, u2, m, x_set) | _gpath(sp[u2], v3, m)
     )
+    if not case12:
+        return trees, "3.1/1.1"
     trees.append(  # the mixed tree through (u3, v1) and (u1, v2)
         _hpath(hq[v1], u3, m)
         | _gpath(gq[k - 1][:-1], v1, m)
@@ -374,7 +353,8 @@ def _lemma31_case1(
 
 
 def _lemma31_case2(
-    g: Graph, h: Graph, pairs: Sequence[tuple[int, int]], k: int, l: int
+    g: Graph, h: Graph, pairs: Sequence[tuple[int, int]], k: int, l: int,
+    budget: Optional[Budget],
 ) -> Optional[list[set[Edge]]]:
     """Both coordinate triples induce triangles: pack 3 trees inside the
     9-vertex induced subgraph, then thread the remaining k-2 and l-2 trees
@@ -387,55 +367,36 @@ def _lemma31_case2(
     back = {i: x for i, x in enumerate(old)}
     fwd = {x: i for i, x in enumerate(old)}
     s_local = [fwd[flat_id(u, v, m)] for (u, v) in pairs]
-    packed = pack_trees(sub, s_local, 3, Budget(DEFAULT_PACK_BUDGET))
+    packed = pack_trees(sub, s_local, 3, budget)
     if packed is None:
         return None
     trees: list[set[Edge]] = [
         {_e(back[a], back[b]) for a, b in t.edges} for t in packed.trees
     ]
 
+    # the H pass threads l - 2 trees through G-layers; the G pass threads
+    # k - 2 through H-fibers minus the predecessors the H pass used
     x_set: set[int] = set()
-    if l >= 3:
-        h2 = Graph(h.n, h.edges - {_e(v1, v2)})
-        hp = max_disjoint_paths(h2, v1, v2, need=l - 2, avoid=frozenset({v3}))
-        if len(hp) < l - 2:
+    for f, other, r, ends, homes, along, across in (
+        (h, g, l, (v1, v2, v3), (u1, u2, u3), _hpath, _gpath),
+        (g, h, k, (u1, u2, u3), (v1, v2, v3), _gpath, _hpath),
+    ):
+        if r < 3:
+            continue
+        a1, a2, a3 = ends
+        f2 = Graph(f.n, f.edges - {_e(a1, a2)})
+        ps = max_disjoint_paths(f2, a1, a2, need=r - 2, avoid=frozenset({a3}))[: r - 2]
+        if len(ps) < r - 2:
             return None
-        hp = hp[: l - 2]
-        preds = [p[-2] for p in hp]
-        x_set = set(preds)
-        if len(x_set) != l - 2 or x_set & {v1, v2, v3}:
+        preds = {p[-2] for p in ps}
+        if len(preds) != r - 2 or preds & {a1, a2, a3}:
             return None
-        fan_h = fan(h, v3, x_set, l - 2, avoid=frozenset({v1, v2}))
-        if fan_h is None:
+        fan_f = fan(f, a3, preds, r - 2, avoid=frozenset({a1, a2}))
+        if fan_f is None:
             return None
-        hq = {p[-1]: p for p in fan_h.paths}
-        for j in range(l - 2):
-            trees.append(
-                _hpath(hp[j][:-1], u1, m)
-                | _fiber(_gpath, g, preds[j], m)
-                | _hpath((v2, preds[j]), u2, m)
-                | _hpath(hq[preds[j]], u3, m)
-            )
-    if k >= 3:
-        g2 = Graph(g.n, g.edges - {_e(u1, u2)})
-        gp = max_disjoint_paths(g2, u1, u2, need=k - 2, avoid=frozenset({u3}))
-        if len(gp) < k - 2:
-            return None
-        gp = gp[: k - 2]
-        gpreds = [r[-2] for r in gp]
-        if len(set(gpreds)) != k - 2 or set(gpreds) & {u1, u2, u3}:
-            return None
-        fan_g = fan(g, u3, set(gpreds), k - 2, avoid=frozenset({u1, u2}))
-        if fan_g is None:
-            return None
-        sp = {p[-1]: p for p in fan_g.paths}
-        for j in range(k - 2):
-            trees.append(
-                _gpath(gp[j][:-1], v1, m)
-                | _fiber(_hpath, h, gpreds[j], m, x_set)
-                | _gpath((gpreds[j], u2), v2, m)
-                | _gpath(sp[gpreds[j]], v3, m)
-            )
+        fp = {q[-1]: q for q in fan_f.paths}
+        trees += [_rung_tree(along, across, other, p, homes, fp, m, x_set) for p in ps]
+        x_set = preds
     return trees
 
 
@@ -554,45 +515,26 @@ def _lemma33_build(cg, ch, k, l, u1, u2, u3, v1, v2) -> Optional[list[set[Edge]]
     gp = max_disjoint_paths(cg, u1, u2, need=k)
     if len(gp) < k:
         return None
-    if k == 1:
+    if k == 1:  # a lone G-path: u3 reaches u2 by any path
         r = max_disjoint_paths(cg, u3, u2, need=1)
         if not r:
             return None
-        trees.append(
-            _gpath(gp[0], v1, m)
-            | _fiber(_hpath, ch, u2, m, x_set)
-            | _gpath(r[0], v2, m)
-        )
-        return trees
-    good = [q for q in gp if q[1] not in (u2, u3)]
-    bad = [q for q in gp if q[1] in (u2, u3)]
-    if len(good) < k - 2:
-        return None
-    gq = good + bad
-    gsec = [q[1] for q in gq[: k - 2]]
-    targets = set(gsec) | {u1, u2}
-    if len(targets) != k or u3 in targets:
-        return None
-    fan_g = fan(cg, u3, targets, k)
-    if fan_g is None:
-        return None
-    rp = {p[-1]: p for p in fan_g.paths}
-    for j in range(k - 2):
-        trees.append(
-            _gpath(gq[j], v1, m)
-            | _fiber(_hpath, ch, gsec[j], m, x_set)
-            | _gpath(rp[gsec[j]], v2, m)
-        )
-    trees.append(
-        _gpath(gq[k - 2], v1, m)
-        | _fiber(_hpath, ch, u1, m, x_set)
-        | _gpath(rp[u1], v2, m)
-    )
-    trees.append(
-        _gpath(gq[k - 1], v1, m)
-        | _fiber(_hpath, ch, u2, m, x_set)
-        | _gpath(rp[u2], v2, m)
-    )
+        gq, ends, rp = gp, [u2], {u2: r[0]}
+    else:
+        good = [q for q in gp if q[1] not in (u2, u3)]
+        bad = [q for q in gp if q[1] in (u2, u3)]
+        if len(good) < k - 2:
+            return None
+        gq = good + bad
+        ends = [q[1] for q in gq[: k - 2]] + [u1, u2]
+        if len(set(ends)) != k or u3 in ends:
+            return None
+        fan_g = fan(cg, u3, ends, k)
+        if fan_g is None:
+            return None
+        rp = {p[-1]: p for p in fan_g.paths}
+    for q, x in zip(gq, ends):
+        trees.append(_gpath(q, v1, m) | _fiber(_hpath, ch, x, m, x_set) | _gpath(rp[x], v2, m))
     return trees
 
 
@@ -610,9 +552,9 @@ def construct_lemma34(
     v1 = pairs[0][1]
     us = [u for u, _ in pairs]
     m = h.n
-    k3g = kappa_k(g, 3, Budget(DEFAULT_PACK_BUDGET))[0]
+    k3g = kappa_k(g, 3, budget)[0]
     claimed = k3g + h.min_degree()
-    _, gbundle = max_internally_disjoint_trees(g, us, Budget(DEFAULT_PACK_BUDGET))
+    _, gbundle = max_internally_disjoint_trees(g, us, budget)
     trees: list[set[Edge]] = []
     for t in gbundle.trees:
         trees.append({_e(flat_id(a, v1, m), flat_id(b, v1, m)) for a, b in t.edges})
@@ -631,10 +573,14 @@ def prop42_bound(l: int, delta1: int) -> int:
     """Unconditional lower bound on kappa(S) for a one-fiber triple."""
     if l < 1 or delta1 < 1:
         raise ValueError("need l >= 1 and delta1 >= 1")
-    half = l // 2
-    if delta1 >= half - 2:
+    return _bound41(l, delta1, l // 2)
+
+
+def _bound41(l: int, delta1: int, t: int) -> int:
+    """The Lemma 4.1 bound for a bundle with t >= 1 through-paths."""
+    if delta1 >= t - 2:
         return l + delta1 - 1
-    return l + delta1 - ceil((half - delta1) / 2)
+    return l + delta1 - ceil((t - delta1) / 2)
 
 
 def construct_lemma41(
@@ -664,9 +610,7 @@ def construct_lemma41(
     for v3 in vset:
         va, vb = [v for v in vset if v != v3]
         try:
-            rb = find_reduced_bundle(
-                h, l, va, vb, v3, t=t, budget=Budget(DEFAULT_BUDGET)
-            )
+            rb = find_reduced_bundle(h, l, va, vb, v3, t=t, budget=budget)
         except BudgetExhausted:
             rb = None
         if rb is not None and (best is None or rb.base.t < best.base.t):
@@ -678,12 +622,7 @@ def construct_lemma41(
     rb = best
     t = rb.base.t
     v1, v2, v3 = rb.base.u1, rb.base.u2, rb.base.u3
-    if t == 0:
-        claimed = l + delta1
-    elif delta1 >= t - 2:
-        claimed = l + delta1 - 1
-    else:
-        claimed = l + delta1 - ceil((t - delta1) / 2)
+    claimed = l + delta1 if t == 0 else _bound41(l, delta1, t)
 
     through = [list(p) for p in rb.base.paths[:t]]
     free = [list(p) for p in rb.base.paths[t:]]
@@ -700,6 +639,16 @@ def construct_lemma41(
         i = p.index(v3)
         return p[: i + 1], p[i:]
 
+    def braid(pa: list[int], pb: list[int], ta: list[int], tb: list[int]) -> list[set[Edge]]:
+        """Three trees from through-paths pa, pb split at v3 and tails ta, tb."""
+        pa1, pa2 = split(pa)
+        pb1, pb2 = split(pb)
+        return [
+            _hpath(ta, u1, m) | _hpath(pa1, u1, m),
+            _hpath(pb1, u1, m) | _hpath(pa2, u1, m),
+            _hpath(pb2, u1, m) | _hpath(tb, u1, m),
+        ]
+
     trees: list[set[Edge]] = []
     for i in range(n_conn):
         trees.append(_hpath(free[i], u1, m) | _hpath(rb.connectors[i], u1, m))
@@ -708,13 +657,9 @@ def construct_lemma41(
         if t == 1:
             trees.append(_hpath(through[0], u1, m))
         elif t == 2:
-            p11, p12 = split(through[0])
-            p21, p22 = split(through[1])
             if len(tail) < 2:
                 return _fallback(g, h, s, claimed, budget)
-            trees.append(_hpath(tail[1], u1, m) | _hpath(p11, u1, m))
-            trees.append(_hpath(p21, u1, m) | _hpath(p12, u1, m))
-            trees.append(_hpath(p22, u1, m) | _hpath(tail[0], u1, m))
+            trees += braid(through[0], through[1], tail[1], tail[0])
         for nb in nbrs:
             trees.append(star(nb))
         return _finish(g, h, s, trees, f"4.1/t={t}", claimed, budget)
@@ -746,11 +691,7 @@ def construct_lemma41(
         trees.extend(built)
 
     if delta1 >= t - 2:
-        pa1, pa2 = split(othrough[t - 2])
-        pb1, pb2 = split(othrough[t - 1])
-        trees.append(_hpath(otail[1], u1, m) | _hpath(pa1, u1, m))
-        trees.append(_hpath(pb1, u1, m) | _hpath(pa2, u1, m))
-        trees.append(_hpath(pb2, u1, m) | _hpath(otail[0], u1, m))
+        trees += braid(othrough[t - 2], othrough[t - 1], otail[1], otail[0])
         for nb in nbrs[t - 2:]:
             trees.append(star(nb))
     else:
@@ -758,11 +699,7 @@ def construct_lemma41(
         while len(left) >= 2:
             a, b = left[0], left[1]
             left = left[2:]
-            pa1, pa2 = split(othrough[a])
-            pb1, pb2 = split(othrough[b])
-            trees.append(_hpath(otail[t - 1 - a], u1, m) | _hpath(pa1, u1, m))
-            trees.append(_hpath(pb1, u1, m) | _hpath(pa2, u1, m))
-            trees.append(_hpath(pb2, u1, m) | _hpath(otail[t - 1 - b], u1, m))
+            trees += braid(othrough[a], othrough[b], otail[t - 1 - a], otail[t - 1 - b])
         if left:
             trees.append(_hpath(othrough[left[0]], u1, m))
     tag = "4.1/case2.1" if l >= 7 else "4.1/case2-cycle"
@@ -850,7 +787,7 @@ def factor_kappa3(g: Graph) -> int:
     used as the conventional stand-in."""
     if g.n < 3:
         return vertex_connectivity(g)
-    return kappa_k(g, 3, Budget(DEFAULT_PACK_BUDGET))[0]
+    return kappa_k(g, 3)[0]
 
 
 def lower_bound_theorem14(g: Graph, h: Graph) -> int:

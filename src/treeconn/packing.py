@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .connectivity import max_disjoint_paths, simple_paths
+from .connectivity import max_disjoint_paths, path_edges, simple_paths
 from .errors import Budget
 from .graphs import Edge, Graph
 
@@ -122,13 +122,6 @@ def iter_minimal_s_trees(
     yield from _iter_trees(g, terms, frozenset(banned_v) - set(terms), frozenset(banned_e), budget)
 
 
-def _path_edges_ok(p: Sequence[int], banned_e: frozenset[Edge]) -> bool:
-    for a, b in zip(p, p[1:]):
-        if ((a, b) if a < b else (b, a)) in banned_e:
-            return False
-    return True
-
-
 def _iter_trees(
     g: Graph,
     terms: list[int],
@@ -139,10 +132,9 @@ def _iter_trees(
     if len(terms) == 2:
         a, b = terms
         for p in simple_paths(g, a, frozenset({b}), banned_v | frozenset({a}), budget):
-            if _path_edges_ok(p, banned_e):
-                yield STree(frozenset(
-                    ((x, y) if x < y else (y, x)) for x, y in zip(p, p[1:])
-                ))
+            pe = path_edges(p)
+            if banned_e.isdisjoint(pe):
+                yield STree(frozenset(pe))
         return
     last = terms[-1]
     rest = terms[:-1]
@@ -161,12 +153,9 @@ def _iter_trees(
             banned_v | frozenset(rest),
             budget,
         ):
-            if not _path_edges_ok(p, banned_e):
-                continue
-            extra = frozenset(
-                ((x, y) if x < y else (y, x)) for x, y in zip(p, p[1:])
-            )
-            yield STree(sub.edges | extra)
+            pe = path_edges(p)
+            if banned_e.isdisjoint(pe):
+                yield STree(sub.edges | frozenset(pe))
 
 
 # -- exact packing ---------------------------------------------------------

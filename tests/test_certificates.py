@@ -1,3 +1,6 @@
+import hashlib
+from itertools import combinations
+
 import pytest
 
 from treeconn import certificates
@@ -15,7 +18,8 @@ from treeconn.certificates import (
     lower_bound_theorem15,
     prop42_bound,
 )
-from treeconn.errors import BudgetExhausted
+from treeconn.cli import certificate_document, dump_document
+from treeconn.errors import Budget, BudgetExhausted
 from treeconn.graphs import (
     Graph,
     cartesian_product,
@@ -304,3 +308,49 @@ def test_lemma41_exhausted_budget_falls_back(monkeypatch):
     cert = certify(*_same_h_fiber_case())
     _check(cert)
     assert cert.provenance == "search-fallback"
+
+
+# -- caller's budget and pinned bytes --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[(0, 0), (1, 1), (2, 2)], [(0, 0), (1, 0), (2, 0)], [(0, 0), (0, 1), (0, 2)]],
+    ids=["3.1/2", "3.4", "4.1"],
+)
+def test_sub_searches_share_callers_budget(pairs):
+    g = h = complete(3)
+    with pytest.raises(BudgetExhausted):
+        certify(g, h, _s(g, h, pairs), Budget(1))
+
+
+def _pinned_certificates():
+    """Every 3-set of C4 box P3 and K3 box K3, then the forced Lemma 4.1
+    shapes of acceptance criterion 6."""
+    for g, h in ((cycle(4), path(3)), (complete(3), complete(3))):
+        for s in combinations(range(g.n * h.n), 3):
+            yield certify(g, h, s)
+    for h, t in ((complete_bipartite(4, 6), 2), (complete_bipartite(7, 10), 3)):
+        g = path(2)
+        yield construct_lemma41(g, h, _s(g, h, [(0, 0), (0, 1), (0, 2)]), t=t)
+
+
+def test_construction_bytes_pinned(monkeypatch):
+    # A changed digest means changed certificate bytes: update it only when
+    # a construction is meant to build different trees.
+    def exhausted(*args, **kwargs):
+        raise BudgetExhausted("search budget of 0 expansions exhausted")
+
+    certs = list(_pinned_certificates())
+    monkeypatch.setattr(certificates, "find_reduced_bundle", exhausted)
+    certs.append(certify(*_same_h_fiber_case()))
+    digest = hashlib.sha256()
+    for cert in certs:
+        digest.update(dump_document(certificate_document(cert)).encode())
+    assert {c.provenance for c in certs} == {
+        "3.1/1.1", "3.1/1.2", "3.1/2", "3.2", "3.3", "3.4",
+        "4.1/t=0", "4.1/t=1", "4.1/t=2", "4.1/case2.1", "search-fallback",
+    }
+    assert digest.hexdigest() == (
+        "208dc871f3319e939ea1c0106fbe9e036228ef3adc53300a4e930fe871ab4ba0"
+    )

@@ -131,6 +131,23 @@ def test_certify_deterministic_output(k3_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_certify_budget_exhausted_exit(k3_file, capsys):
+    rc = run(["certify", k3_file, k3_file, "--s", "0,0;1,0;2,0", "--budget", "1"])
+    assert rc == cli.EXIT_BUDGET
+    assert "budget" in capsys.readouterr().err
+
+
+def test_internal_fault_exit(k3_file, monkeypatch, capsys):
+    from treeconn import certificates
+
+    def broken(*args, **kwargs):
+        raise AssertionError("invalid bundle found")
+
+    monkeypatch.setattr(certificates, "find_reduced_bundle", broken)
+    assert run(["certify", k3_file, k3_file, "--s", "0,0;0,1;0,2"]) == cli.EXIT_INTERNAL
+    assert "internal: invalid bundle found" in capsys.readouterr().err
+
+
 def test_certify_bad_s_spec(k3_file):
     assert run(["certify", k3_file, k3_file, "--s", "0,0;1,1"]) == cli.EXIT_INPUT
     assert run(["certify", k3_file, k3_file, "--s", "0,0;1,1;9,9"]) == cli.EXIT_INPUT
@@ -241,3 +258,9 @@ def test_detect_family():
     # C4 = K_{2,2}: degree-2 regular wins the cycle label first
     assert cli.detect_family(cycle(4))[0] == "cycle"
     assert cli.detect_family(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])) is None
+    # four parts, and two disjoint edges (2K2): no closed form applies
+    parts = [0, 1, 2, 2, 3, 3]
+    k1122 = Graph(6, [(a, b) for a in range(6) for b in range(a + 1, 6)
+                      if parts[a] != parts[b]])
+    assert cli.detect_family(k1122) is None
+    assert cli.detect_family(Graph(4, [(0, 1), (2, 3)])) is None
