@@ -89,28 +89,38 @@ def load_certificate_document(doc: dict) -> tuple[Graph, Graph, Certificate]:
             )
         g = _rebuild_factor(doc["factors"]["g"], "g")
         h = _rebuild_factor(doc["factors"]["h"], "h")
-        s = tuple(int(x) for x in doc["s"]["flat"])
+        s = tuple(_integer(x, "s.flat entry") for x in doc["s"]["flat"])
         pairs = [tuple(p) for p in doc["s"]["pairs"]]
         trees = tuple(
             STree(frozenset((min(a, b), max(a, b)) for a, b in t))
             for t in doc["trees"]
         )
-        bound = int(doc["claimed_bound"])
+        bound = _integer(doc["claimed_bound"], "claimed_bound")
         provenance = str(doc["provenance"])
-        product_n = int(doc["product_n"])
-        product_m = int(doc["product_m"])
+        product_n = _integer(doc["product_n"], "product_n")
+        product_m = _integer(doc["product_m"], "product_m")
     except InputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed certificate document: {exc}") from None
     if len(s) != 3:
         raise InputError("terminal set must list three flat ids")
+    if bound < 1:
+        raise InputError(f"claimed_bound {bound} is below 1")
     if pairs != [divmod(x, h.n) for x in s]:
         raise InputError("terminal pairs disagree with flat ids")
     if (g.n * h.n, g.n * h.m + h.n * g.m) != (product_n, product_m):
         raise InputError("product_n/product_m disagree with the factors")
     bundle = STreeBundle(tuple(sorted(s)), trees)
     return g, h, Certificate(g, h, s, bundle, provenance, bound)
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer as is; anything else (a bool, a float, a string) is
+    refused rather than coerced."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _rebuild_factor(entry: dict, name: str) -> Graph:
@@ -212,7 +222,7 @@ def cmd_kappa3(args) -> int:
             raise InputError("graph must be connected for exact kappa_3")
         budget = Budget(args.budget)
         try:
-            value, witness, _ = kappa_k(g, 3, budget)
+            value, witness, _ = kappa_k(g, 3, budget, use_symmetry=True)
         except BudgetExhausted:
             lo, hi = kappa3_range_from_kappa(vertex_connectivity(g))
             print(f"budget exhausted; best known: {lo} <= kappa3 <= {hi}")
@@ -294,7 +304,7 @@ def cmd_bounds(args) -> int:
     if prod.n <= EXACT_PRODUCT_LIMIT:
         budget = Budget(args.budget)
         try:
-            exact, _, _ = kappa_k(prod, 3, budget)
+            exact, _, _ = kappa_k(prod, 3, budget, use_symmetry=True)
         except BudgetExhausted:
             print("exact kappa3: budget exhausted")
             return EXIT_BUDGET

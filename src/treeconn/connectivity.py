@@ -211,34 +211,6 @@ def simple_paths(
 
 
 @dataclass(frozen=True)
-class PathSystem:
-    """Internally disjoint paths with common endpoints u, v."""
-
-    u: int
-    v: int
-    paths: tuple[tuple[int, ...], ...]
-
-    def check(self, g: Graph) -> Optional[str]:
-        internal_seen: set[int] = set()
-        edge_seen: set[tuple[int, int]] = set()
-        for p in self.paths:
-            err = check_path(g, p)
-            if err:
-                return err
-            if p[0] != self.u or p[-1] != self.v:
-                return f"path {p} does not run from {self.u} to {self.v}"
-            for x in p[1:-1]:
-                if x in internal_seen:
-                    return f"internal vertex {x} shared between paths"
-                internal_seen.add(x)
-            for e in path_edges(p):
-                if e in edge_seen:
-                    return f"edge {e} shared between paths"
-                edge_seen.add(e)
-        return None
-
-
-@dataclass(frozen=True)
 class Fan:
     """Internally disjoint (x, Y)-paths with distinct terminals."""
 
@@ -284,23 +256,6 @@ def check_path(g: Graph, p: Sequence[int]) -> Optional[str]:
 
 def path_edges(p: Sequence[int]) -> list[tuple[int, int]]:
     return [(a, b) if a < b else (b, a) for a, b in zip(p, p[1:])]
-
-
-def disjoint_paths(
-    g: Graph,
-    u: int,
-    v: int,
-    r: int,
-    avoid: frozenset[int] = frozenset(),
-) -> Optional[PathSystem]:
-    """r internally disjoint u-v paths if they exist, else None."""
-    paths = max_disjoint_paths(g, u, v, need=r, avoid=avoid)
-    if len(paths) < r:
-        return None
-    sys = PathSystem(u, v, tuple(tuple(p) for p in paths))
-    err = sys.check(g)
-    assert err is None, f"internal error: flow produced invalid system: {err}"
-    return sys
 
 
 def fan(

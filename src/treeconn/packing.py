@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .connectivity import max_disjoint_paths, path_edges, simple_paths
 from .errors import Budget
@@ -266,51 +266,133 @@ def max_internally_disjoint_trees(
 # -- automorphisms and orbit pruning ---------------------------------------
 
 
-def automorphisms(g: Graph, limit: int = 500_000) -> list[tuple[int, ...]]:
-    """All automorphisms by backtracking with degree filtering.
+def automorphism_generators(
+    g: Graph, budget: Optional[Budget] = None
+) -> list[tuple[int, ...]]:
+    """A strong generating set of Aut(g) for the base 0, 1, ..., n-1.
 
-    Intended for the small symmetric family graphs; `limit` caps the number
-    of search nodes (raises if exceeded)."""
-    degs = [g.degree(v) for v in range(g.n)]
-    perm: list[int] = [-1] * g.n
-    used = [False] * g.n
-    out: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def rec(i: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > limit:
-            raise RuntimeError("automorphism search limit exceeded")
-        if i == g.n:
-            out.append(tuple(perm))
-            return
-        for c in range(g.n):
-            if used[c] or degs[c] != degs[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if g.has_edge(i, j) != g.has_edge(c, perm[j]):
-                    ok = False
-                    break
-            if ok:
-                perm[i] = c
-                used[c] = True
-                rec(i + 1)
-                used[c] = False
-                perm[i] = -1
-
-    rec(0)
-    return out
+    Sims's stabilizer chain, from the last base point down: for base point
+    i, every c > i outside i's orbit under the generators found so far
+    (all of which fix 0..i-1) gets one backtracking search for an
+    automorphism that fixes 0..i-1 and maps i to c.  The first one found
+    joins the generators, and the orbit is closed again.  Afterwards the
+    generators with base point >= i generate the stabilizer of 0..i-1.
+    One budget tick per search node.
+    """
+    if budget is None:
+        budget = Budget(DEFAULT_PACK_BUDGET)
+    dist = [_distances(g, v) for v in range(g.n)]
+    gens: list[tuple[int, ...]] = []
+    for i in range(g.n - 2, -1, -1):
+        search = _stabilizer_search(g, dist, i, budget)
+        orbit = {i}
+        for c in range(i + 1, g.n):
+            if c not in orbit and (perm := search(c)) is not None:
+                gens.append(perm)
+                orbit = _orbit(i, gens, lambda p, x: p[x])
+    return gens
 
 
-def subset_orbit_reps(g: Graph, k: int, autos: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Lexicographically-least representative of each k-subset orbit."""
-    reps = []
+def _orbit(start, gens: Sequence[tuple[int, ...]], image: Callable) -> set:
+    """The orbit of `start` under the generators; `image(p, x)` is the
+    image of x under the permutation p."""
+    orbit = {start}
+    frontier = [start]
+    for x in frontier:
+        for p in gens:
+            y = image(p, x)
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def _distances(g: Graph, v: int) -> list[int]:
+    """BFS distance from v to every vertex, -1 where unreachable."""
+    dist = [-1] * g.n
+    dist[v] = 0
+    queue = [v]
+    for x in queue:
+        for y in g.neighbors(x):
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def _stabilizer_search(
+    g: Graph, dist: list[list[int]], i: int, budget: Budget
+) -> Callable[[int], Optional[tuple[int, ...]]]:
+    """search(c): the first automorphism found that fixes 0..i-1 and maps
+    i to c, or None.
+
+    Vertices are placed in BFS order from {0..i} (by distance from that
+    set, then by label), so a vertex with a placed neighbour y may only map
+    into the neighbours of y's image.  An automorphism keeps distances, so
+    a candidate image must match the vertex's degree, its distances to
+    0..i-1, its distance to i as a distance to c, and its adjacency to
+    every placed vertex.
+    """
+    n = g.n
+    near = [min((d for d in row[: i + 1] if d >= 0), default=n) for row in dist]
+    order = sorted(range(n), key=lambda x: (near[x], x))
+    rank = {v: r for r, v in enumerate(order)}
+    earlier = [[y for y in g.neighbors(x) if rank[y] < rank[x]] for x in range(n)]
+    # vertices in different cells differ in their distances to 0..i-1
+    cells: dict[tuple[int, ...], int] = {}
+    cell = [cells.setdefault(tuple(row[:i]), len(cells)) for row in dist]
+
+    def search(c: int) -> Optional[tuple[int, ...]]:
+        perm = list(range(i)) + [-1] * (n - i)
+        used = [v < i for v in range(n)]
+        to_c, to_i = dist[c], dist[i]
+
+        def rec(pos: int) -> bool:
+            budget.tick()
+            if pos == n:
+                return True
+            x = order[pos]
+            back = earlier[x]
+            if pos == i:
+                cands: Sequence[int] = (c,)
+            else:
+                cands = g.neighbors(perm[back[0]]) if back else range(n)
+            for cand in cands:
+                if (
+                    used[cand]
+                    or g.degree(cand) != g.degree(x)
+                    or cell[cand] != cell[x]
+                    or to_c[cand] != to_i[x]
+                    or sum(1 for z in g.neighbors(cand) if used[z]) != len(back)
+                    or any(not g.has_edge(cand, perm[y]) for y in back)
+                ):
+                    continue
+                perm[x] = cand
+                used[cand] = True
+                if rec(pos + 1):
+                    return True
+                used[cand] = False
+            perm[x] = -1
+            return False
+
+        return tuple(perm) if rec(i) else None
+
+    return search
+
+
+def subset_orbit_reps(
+    g: Graph, k: int, gens: Sequence[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """Lexicographically-least representative of each k-subset orbit under
+    the group the generators `gens` generate, in `combinations` order.
+
+    A subset not in the orbit of an earlier one is the least of its own."""
+    reps: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
     for sub in combinations(range(g.n), k):
-        canon = min(tuple(sorted(p[v] for v in sub)) for p in autos)
-        if canon == sub:
+        if sub not in seen:
             reps.append(sub)
+            seen |= _orbit(sub, gens, lambda p, s: tuple(sorted(p[v] for v in s)))
     return reps
 
 
@@ -323,7 +405,11 @@ def kappa_k(
     """min over k-subsets of kappa(S); returns (value, witness S, bundle).
 
     Subsets already known to meet the current minimum are skipped via a
-    single packing decision instead of a full evaluation.
+    single packing decision instead of a full evaluation.  With
+    `use_symmetry`, only the least k-subset of each Aut(g)-orbit is
+    evaluated; the result is the same, because the least subset attaining
+    the minimum is the least of its orbit and `pack_trees` depends only on
+    (g, S, r).
     """
     if not 2 <= k <= g.n:
         raise ValueError("need 2 <= k <= n")
@@ -332,7 +418,7 @@ def kappa_k(
     if not g.is_connected():
         raise ValueError("graph must be connected")
     subsets = (
-        subset_orbit_reps(g, k, automorphisms(g))
+        subset_orbit_reps(g, k, automorphism_generators(g, budget))
         if use_symmetry
         else list(combinations(range(g.n), k))
     )

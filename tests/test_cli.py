@@ -5,6 +5,7 @@ import pytest
 
 from treeconn import cli
 from treeconn.graphs import (
+    Graph,
     cartesian_product,
     complete,
     complete_bipartite,
@@ -100,6 +101,23 @@ def test_kappa3_bounds_shuffled_product(tmp_path, capsys):
     assert run(["kappa3", str(p), "--mode", "bounds"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == [f"kappa = {expected}", "4 <= kappa3 <= 5"]
+
+
+def test_kappa3_exact_relabelled_k44(tmp_path, capsys):
+    # value and witness as printed before exact kappa3 pruned by symmetry
+    g = complete_bipartite(4, 4)
+    perm = list(range(g.n))
+    random.Random(6).shuffle(perm)
+    p = tmp_path / "k44.el"
+    p.write_text(format_edge_list(Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])))
+    assert run(["kappa3", str(p), "--mode", "exact"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["kappa3 = 3", "witness S = [0, 1, 4]"]
+
+
+def test_kappa3_exact_budget_exhausted(tmp_path, capsys):
+    p = tmp_path / "c4c4.el"
+    p.write_text(format_edge_list(cartesian_product(cycle(4), cycle(4))))
+    assert run(["kappa3", str(p), "--mode", "exact", "--budget", "5"]) == cli.EXIT_BUDGET
 
 
 def test_kappa3_missing_file():
@@ -220,6 +238,41 @@ def test_verify_rejects_product_too_large(tmp_path, capsys):
     cert.write_text(json.dumps(doc))
     assert run(["verify", str(cert)]) == cli.EXIT_INPUT
     assert "too large" in capsys.readouterr().err
+
+
+def test_verify_rejects_bound_below_one(k3_file, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run(["certify", k3_file, k3_file, "--s", "0,0;1,1;2,2", "--out", str(cert)])
+    doc = json.loads(cert.read_text())
+    doc["claimed_bound"] = -5
+    doc["trees"] = []
+    cert.write_text(json.dumps(doc))
+    assert run(["verify", str(cert)]) == cli.EXIT_INPUT
+    assert "claimed_bound" in capsys.readouterr().err
+
+
+def test_verify_rejects_non_integer_fields(k3_file, tmp_path, capsys):
+    # each value would read as the certified one under int()
+    cert = tmp_path / "cert.json"
+    run(["certify", k3_file, k3_file, "--s", "0,0;0,1;1,0", "--out", str(cert)])
+    sound = json.loads(cert.read_text())
+    assert sound["s"]["flat"] == [0, 1, 3]
+    for field, value in (
+        (("s", "flat"), [0.9, 1, 3]),
+        (("s", "flat"), [0, True, 3]),
+        (("claimed_bound",), sound["claimed_bound"] + 0.9),
+        (("product_n",), float(sound["product_n"])),
+        (("product_m",), sound["product_m"] + 0.5),
+    ):
+        doc = json.loads(json.dumps(sound))
+        *outer, last = field
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        cert.write_text(json.dumps(doc))
+        assert run(["verify", str(cert)]) == cli.EXIT_INPUT, field
+        assert "must be an integer" in capsys.readouterr().err
 
 
 # -- bounds -----------------------------------------------------------------

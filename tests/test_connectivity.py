@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from treeconn import connectivity
 from treeconn.connectivity import (
     Fan,
-    PathSystem,
-    disjoint_paths,
+    check_path,
     fan,
     kappa3_range_from_kappa,
     kappa3_upper_adjacent_min_degree,
@@ -112,10 +111,12 @@ def test_known_connectivities():
 
 def test_path_systems_check_and_count():
     g = complete_bipartite(3, 3)
-    sys_ = disjoint_paths(g, 0, 1, 3)
-    assert sys_ is not None and len(sys_.paths) == 3
-    assert sys_.check(g) is None
-    assert disjoint_paths(g, 0, 1, 4) is None
+    paths = max_disjoint_paths(g, 0, 1, need=3)
+    assert len(paths) == 3
+    inner = [x for p in paths for x in p[1:-1]]
+    assert all(check_path(g, p) is None and (p[0], p[-1]) == (0, 1) for p in paths)
+    assert len(inner) == len(set(inner))
+    assert len(max_disjoint_paths(g, 0, 1, need=4)) == 3
 
 
 def test_max_disjoint_paths_avoid():
@@ -126,8 +127,8 @@ def test_max_disjoint_paths_avoid():
 
 def test_disjoint_paths_deterministic():
     g = complete(5)
-    a = disjoint_paths(g, 0, 4, 4)
-    b = disjoint_paths(g, 0, 4, 4)
+    a = max_disjoint_paths(g, 0, 4, need=4)
+    b = max_disjoint_paths(g, 0, 4, need=4)
     assert a == b
 
 
@@ -167,8 +168,6 @@ def test_fan_targets_not_passed_through():
 
 def test_checkers_catch_violations():
     g = cycle(4)
-    bad = PathSystem(0, 2, ((0, 1, 2), (0, 1, 2)))
-    assert bad.check(g) is not None
     bad_fan = Fan(0, (2,), ((0, 3, 2, 1),))
     assert bad_fan.check(g) is not None
 
@@ -220,7 +219,7 @@ def _petersen() -> Graph:
 def test_flow_outputs_pinned_k33():
     g = complete_bipartite(3, 3)
     assert max_disjoint_paths(g, 0, 1) == [[0, 3, 1], [0, 4, 1], [0, 5, 1]]
-    assert disjoint_paths(g, 0, 2, 2) == PathSystem(0, 2, ((0, 3, 2), (0, 4, 2)))
+    assert max_disjoint_paths(g, 0, 2, need=2) == [[0, 3, 2], [0, 4, 2]]
     assert fan(g, 0, [1, 2, 4], 3) == Fan(
         0, (1, 2, 4), ((0, 3, 1), (0, 4), (0, 5, 2))
     )
@@ -234,9 +233,9 @@ def test_flow_outputs_pinned_c4_c4():
         [0, 4, 5, 9, 10],
         [0, 12, 13, 14, 10],
     ]
-    assert disjoint_paths(g, 0, 5, 4) == PathSystem(
-        0, 5, ((0, 1, 5), (0, 3, 2, 6, 5), (0, 4, 5), (0, 12, 8, 9, 5))
-    )
+    assert max_disjoint_paths(g, 0, 5, need=4) == [
+        [0, 1, 5], [0, 3, 2, 6, 5], [0, 4, 5], [0, 12, 8, 9, 5]
+    ]
     assert fan(g, 0, [2, 8, 10, 15], 4) == Fan(
         0,
         (2, 8, 10, 15),
@@ -253,9 +252,9 @@ def test_flow_outputs_pinned_petersen_avoid():
     g = _petersen()
     five = frozenset({5})
     assert max_disjoint_paths(g, 0, 7, avoid=five) == [[0, 1, 2, 7], [0, 4, 9, 7]]
-    assert disjoint_paths(g, 0, 8, 2, avoid=five) == PathSystem(
-        0, 8, ((0, 1, 6, 8), (0, 4, 3, 8))
-    )
+    assert max_disjoint_paths(g, 0, 8, need=2, avoid=five) == [
+        [0, 1, 6, 8], [0, 4, 3, 8]
+    ]
     assert fan(g, 0, [3, 7, 8], 3, avoid=five) is None
     assert fan(g, 0, [3, 7, 8], 3, avoid=frozenset({2})) == Fan(
         0, (3, 7, 8), ((0, 1, 6, 8), (0, 4, 3), (0, 5, 7))

@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from treeconn.graphs import (
 from treeconn.packing import (
     STree,
     STreeBundle,
-    automorphisms,
+    automorphism_generators,
     iter_minimal_s_trees,
     kappa_k,
     kappa3_formula,
@@ -186,23 +187,83 @@ def test_kappa_2_equals_kappa_cross_check():
 # -- automorphisms ----------------------------------------------------------
 
 
+def _group(n, gens):
+    """Every composition of the generators, by BFS from the identity."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for q in gens:
+            r = tuple(q[x] for x in p)
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return seen
+
+
 def test_automorphism_counts():
-    assert len(automorphisms(complete(4))) == 24
-    assert len(automorphisms(cycle(5))) == 10  # dihedral
-    assert len(automorphisms(path(4))) == 2
-    assert len(automorphisms(complete_bipartite(2, 3))) == 12
+    for g, order in ((complete(4), 24), (cycle(5), 10), (path(4), 2),
+                     (complete_bipartite(2, 3), 12)):
+        assert len(_group(g.n, automorphism_generators(g))) == order
 
 
 def test_orbit_reps_cover_all_subsets():
     g = cycle(6)
-    autos = automorphisms(g)
-    reps = subset_orbit_reps(g, 3, autos)
+    gens = automorphism_generators(g)
+    autos = _group(g.n, gens)
+    reps = subset_orbit_reps(g, 3, gens)
     # every 3-subset maps to some rep
     covered = set()
     for rep in reps:
         for p in autos:
             covered.add(tuple(sorted(p[v] for v in rep)))
     assert covered == set(combinations(range(6), 3))
+
+
+def test_orbit_reps_match_full_group_on_all_small_graphs():
+    # reference: the least image of each k-subset under every automorphism,
+    # the automorphisms listed by brute force over all permutations
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [e for b, e in enumerate(pairs) if mask >> b & 1])
+            autos = [
+                p for p in permutations(range(n))
+                if all(g.has_edge(p[a], p[b]) for a, b in g.edges)
+            ]
+            gens = automorphism_generators(g)
+            assert _group(n, gens) == set(autos)
+            for k in range(1, n + 1):
+                ref = [
+                    sub for sub in combinations(range(n), k)
+                    if min(tuple(sorted(p[v] for v in sub)) for p in autos) == sub
+                ]
+                assert subset_orbit_reps(g, k, gens) == ref
+
+
+def test_orbit_reps_of_k9():
+    k9 = complete(9)
+    assert subset_orbit_reps(k9, 3, automorphism_generators(k9)) == [(0, 1, 2)]
+
+
+def test_automorphism_generators_of_relabelled_torus():
+    # |Aut(C8 □ C9)| = 16 * 18.  With the distance filter the search takes
+    # about 4,000 nodes on this labelling; degree and adjacency alone take
+    # over 6 million.
+    g = cartesian_product(cycle(8), cycle(9))
+    perm = list(range(g.n))
+    random.Random(3).shuffle(perm)
+    g = Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+    gens = automorphism_generators(g, Budget(20_000))
+    assert all(g.has_edge(p[a], p[b]) for p in gens for a, b in g.edges)
+    assert len(_group(g.n, gens)) == 288
+
+
+def test_automorphism_search_ticks_budget():
+    g = cartesian_product(cycle(4), cycle(4))
+    with pytest.raises(BudgetExhausted):
+        automorphism_generators(g, Budget(5))
 
 
 # -- closed-form oracles ----------------------------------------------------
