@@ -13,7 +13,8 @@ import argparse
 import json
 import sys
 import traceback
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from . import graphs
 from .certificates import (
@@ -87,8 +88,14 @@ def load_certificate_document(doc: dict) -> tuple[Graph, Graph, Certificate]:
             raise InputError(
                 f"unsupported schema_version {doc['schema_version']!r}"
             )
-        g = _rebuild_factor(doc["factors"]["g"], "g")
-        h = _rebuild_factor(doc["factors"]["h"], "h")
+        factors = doc["factors"]
+        _integers(
+            chain(factors["g"]["edges"], factors["h"]["edges"],
+                  doc["s"]["pairs"], *doc["trees"]),
+            "edge endpoint or s.pairs entry",
+        )
+        g = _rebuild_factor(factors["g"], "g")
+        h = _rebuild_factor(factors["h"], "h")
         s = tuple(_integer(x, "s.flat entry") for x in doc["s"]["flat"])
         pairs = [tuple(p) for p in doc["s"]["pairs"]]
         trees = tuple(
@@ -123,12 +130,23 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _integers(rows: Iterable, name: str) -> None:
+    """`_integer` for every entry of every row, by one pass over the
+    entries' types."""
+    values = list(chain.from_iterable(rows))
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise InputError(f"{name} must be an integer, got {bad!r}")
+
+
 def _rebuild_factor(entry: dict, name: str) -> Graph:
+    n = _integer(entry["n"], f"factor {name} n")
+    m = _integer(entry["m"], f"factor {name} m")
     try:
-        g = Graph(int(entry["n"]), [tuple(e) for e in entry["edges"]])
-    except (KeyError, TypeError, ValueError) as exc:
+        g = Graph(n, [tuple(e) for e in entry["edges"]])
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad factor {name}: {exc}") from None
-    if g.m != int(entry["m"]):
+    if g.m != m:
         raise InputError(f"factor {name}: edge count disagrees with header")
     if g.sha256() != entry.get("sha256"):
         raise InputError(f"factor {name}: sha256 mismatch")

@@ -3,11 +3,13 @@ systems, and fans, all driven by one unit-capacity flow routine on the
 vertex-split digraph; plus `simple_paths`, the one simple-path enumerator
 that the bundle, packing and certificate searches share.
 
-The flow indexes, per node, the tails of the flow-carrying arcs into it, so
-its residual reverse arcs are read without scanning the whole flow.  Vertex
-connectivity follows Esfahanian and Hakimi (Networks 14, 1984): flows run
-only from a minimum-degree vertex v to its non-neighbours and between
-non-adjacent neighbours of v, (n - delta - 1) + delta(delta - 1)/2 at most.
+No digraph is built: the flow reads each split node's arcs from the
+graph's sorted adjacency when its BFS reaches the node, and indexes, per
+node, the tails of the flow-carrying arcs into it, so residual reverse arcs
+are read without scanning the whole flow.  Vertex connectivity follows
+Esfahanian and Hakimi (Networks 14, 1984): flows run only from a
+minimum-degree vertex v to its non-neighbours and between non-adjacent
+neighbours of v, (n - delta - 1) + delta(delta - 1)/2 at most.
 
 Determinism contract: augmenting paths are found by BFS exploring the
 residual arcs of each node in ascending node order, and flow decomposition
@@ -24,59 +26,22 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import Budget
 from .graphs import Graph
 
-# Split-node helpers: vertex v becomes in-node 2v and out-node 2v+1.
-
-
-def _node_in(v: int) -> int:
-    return 2 * v
-
-
-def _node_out(v: int) -> int:
-    return 2 * v + 1
-
-
-def _build_arcs(
-    g: Graph,
-    avoid: frozenset[int],
-    no_exit: frozenset[int] = frozenset(),
-    extra_arcs: Iterable[tuple[int, int]] = (),
-) -> dict[int, list[int]]:
-    """Unit-capacity arcs of the vertex-split digraph.
-
-    avoid: vertices removed entirely.
-    no_exit: vertices that may terminate a path but not be passed through
-        (their out-arcs are dropped; extra_arcs may still leave them).
-    extra_arcs: additional (split-node, split-node) arcs, e.g. to an
-        auxiliary sink.
-    """
-    arcs: dict[int, list[int]] = {}
-
-    def add(x: int, y: int) -> None:
-        arcs.setdefault(x, []).append(y)
-
-    for v in range(g.n):
-        if v in avoid:
-            continue
-        add(_node_in(v), _node_out(v))
-    for a, b in g.edges:
-        if a in avoid or b in avoid:
-            continue
-        if a not in no_exit:
-            add(_node_out(a), _node_in(b))
-        if b not in no_exit:
-            add(_node_out(b), _node_in(a))
-    for x, y in extra_arcs:
-        add(x, y)
-    for x in arcs:
-        arcs[x] = sorted(set(arcs[x]))
-    return arcs
-
 
 def _max_flow(
-    arcs: dict[int, list[int]], s: int, t: int, need: Optional[int]
+    g: Graph,
+    s: int,
+    t: int,
+    need: Optional[int],
+    avoid: frozenset[int],
+    ends: frozenset[int] = frozenset(),
 ) -> set[tuple[int, int]]:
-    """Unit-capacity max flow via BFS augmentation; returns the arcs that
-    carry flow."""
+    """Unit-capacity max flow via BFS augmentation on the vertex-split
+    digraph of g minus `avoid`; returns the arcs that carry flow.
+
+    Vertex v has in-node 2v and out-node 2v+1.  The arcs are read from
+    g.adj as the BFS reaches a node: in(v) -> out(v); out(v) -> t when v is
+    in `ends` (a fan terminal, never passed through); otherwise out(v) ->
+    in(w) for each neighbour w outside `avoid`, ascending."""
     flow: set[tuple[int, int]] = set()
     # back[x]: tails y of arcs (y, x) carrying flow, i.e. the residual
     # reverse arcs out of x.
@@ -90,7 +55,14 @@ def _max_flow(
         while qi < len(queue) and t not in parent:
             x = queue[qi]
             qi += 1
-            residual = [y for y in arcs.get(x, ()) if (x, y) not in flow]
+            v, out = divmod(x, 2)
+            if not out:
+                arcs = (x + 1,)
+            elif v in ends:
+                arcs = (t,)
+            else:
+                arcs = [2 * w for w in g.adj[v] if w not in avoid]
+            residual = [y for y in arcs if (x, y) not in flow]
             if back.get(x):
                 residual = sorted(back[x].union(residual))
             for y in residual:
@@ -149,9 +121,8 @@ def max_disjoint_paths(
     avoiding the given internal vertices entirely."""
     if u == v:
         raise ValueError("endpoints must differ")
-    arcs = _build_arcs(g, avoid - {u, v})
-    flow = _max_flow(arcs, _node_out(u), _node_in(v), need)
-    return _decompose(flow, _node_out(u), _node_in(v))
+    flow = _max_flow(g, 2 * u + 1, 2 * v, need, avoid - {u, v})
+    return _decompose(flow, 2 * u + 1, 2 * v)
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -275,15 +246,13 @@ def fan(
         raise ValueError("fan source/targets must not be avoided")
     if len(y) < r:
         return None
-    aux_in = 2 * g.n  # single auxiliary sink node (no split needed)
-    extra = [(_node_out(t), aux_in) for t in y]
+    sink = 2 * g.n  # single auxiliary sink node (no split needed)
     # Members of Y may terminate paths but not be passed through; their only
     # exit is the arc to the auxiliary sink.
-    arcs = _build_arcs(g, avoid=avoid, no_exit=frozenset(y) - {x}, extra_arcs=extra)
-    flow = _max_flow(arcs, _node_out(x), aux_in, r)
+    flow = _max_flow(g, 2 * x + 1, sink, r, avoid, ends=frozenset(y))
     # Every path ends in the auxiliary sink; dropping it keeps the order,
     # since no path runs through another's terminal.
-    paths = [p[:-1] for p in _decompose(flow, _node_out(x), aux_in)]
+    paths = [p[:-1] for p in _decompose(flow, 2 * x + 1, sink)]
     if len(paths) < r:
         return None
     result = Fan(x, y, tuple(tuple(p) for p in paths))

@@ -8,7 +8,7 @@ certificate edge lists stay human-decodable.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError
 
@@ -38,7 +38,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {a}")
             e = _norm_edge(a, b)
             if e in seen:
-                raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
+                raise ValueError(f"duplicate edge ({a},{b})")
             seen.add(e)
         self.n = n
         self.edges = frozenset(seen)
@@ -235,44 +235,42 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the "n m" header + "u v" lines format; '#' starts a comment."""
-    lines = text.splitlines()
-    header = None
-    edges: set[Edge] = set()
-    expect_m = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected two integers, got {raw!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer token in {raw!r}") from None
-        if header is None:
-            header = (a, b)
-            expect_m = b
-            if a < 1:
-                raise GraphFormatError(f"line {lineno}: vertex count must be >= 1")
-            if b < 0:
-                raise GraphFormatError(f"line {lineno}: edge count must be >= 0")
-            continue
-        n = header[0]
-        if not (0 <= a < n and 0 <= b < n):
-            raise GraphFormatError(f"line {lineno}: vertex out of range 0..{n - 1}")
-        if a == b:
-            raise GraphFormatError(f"line {lineno}: self-loop at {a}")
-        e = _norm_edge(a, b)
-        if e in edges:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({a},{b})")
-        edges.add(e)
+    """Parse the "n m" header + "u v" lines format; '#' starts a comment.
+
+    Graph() alone checks the edges; a ValueError it raises names the line of
+    the edge being read."""
+    lineno = 0
+
+    def rows() -> Iterator[Edge]:
+        nonlocal lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: expected two integers, got {raw!r}")
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer token in {raw!r}") from None
+            yield a, b
+
+    edges = rows()
+    header = next(edges, None)
     if header is None:
         raise GraphFormatError("empty input: missing 'n m' header")
-    if len(edges) != expect_m:
-        raise GraphFormatError(f"header declared {expect_m} edges but found {len(edges)}")
-    return Graph(header[0], edges)
+    n, expect_m = header
+    if n < 1:
+        raise GraphFormatError(f"line {lineno}: vertex count must be >= 1")
+    if expect_m < 0:
+        raise GraphFormatError(f"line {lineno}: edge count must be >= 0")
+    try:
+        g = Graph(n, edges)
+    except ValueError as exc:
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
+    if g.m != expect_m:
+        raise GraphFormatError(f"header declared {expect_m} edges but found {g.m}")
+    return g
 
 
 def format_edge_list(g: Graph) -> str:

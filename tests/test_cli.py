@@ -275,6 +275,55 @@ def test_verify_rejects_non_integer_fields(k3_file, tmp_path, capsys):
         assert "must be an integer" in capsys.readouterr().err
 
 
+
+def _k3_document(k3_file, tmp_path):
+    cert = tmp_path / "cert.json"
+    run(["certify", k3_file, k3_file, "--s", "0,0;0,1;1,0", "--out", str(cert)])
+    return cert, json.loads(cert.read_text())
+
+
+def _assert_refused(cert, doc, capsys):
+    cert.write_text(json.dumps(doc))
+    assert run(["verify", str(cert)]) == cli.EXIT_INPUT
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_verify_rejects_float_factor_n(k3_file, tmp_path, capsys):
+    cert, doc = _k3_document(k3_file, tmp_path)
+    doc["factors"]["g"]["n"] = 3.5  # int() would read 3
+    _assert_refused(cert, doc, capsys)
+
+
+def test_verify_rejects_float_factor_m(k3_file, tmp_path, capsys):
+    cert, doc = _k3_document(k3_file, tmp_path)
+    doc["factors"]["h"]["m"] = 3.0
+    _assert_refused(cert, doc, capsys)
+
+
+def test_verify_rejects_bool_factor_edge_endpoints(k3_file, tmp_path, capsys):
+    # (False, True) == (0, 1); the sha256 is recomputed to match
+    cert, doc = _k3_document(k3_file, tmp_path)
+    entry = doc["factors"]["g"]
+    assert entry["edges"][0] == [0, 1]
+    entry["edges"][0] = [False, True]
+    entry["sha256"] = Graph(entry["n"], [tuple(e) for e in entry["edges"]]).sha256()
+    _assert_refused(cert, doc, capsys)
+
+
+def test_verify_rejects_float_tree_endpoints(k3_file, tmp_path, capsys):
+    cert, doc = _k3_document(k3_file, tmp_path)
+    a, b = doc["trees"][0][0]
+    doc["trees"][0][0] = [float(a), float(b)]
+    _assert_refused(cert, doc, capsys)
+
+
+def test_verify_rejects_float_s_pairs(k3_file, tmp_path, capsys):
+    cert, doc = _k3_document(k3_file, tmp_path)
+    u, v = doc["s"]["pairs"][0]
+    doc["s"]["pairs"][0] = [float(u), v]
+    _assert_refused(cert, doc, capsys)
+
+
 # -- bounds -----------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -165,6 +166,56 @@ def test_fan_targets_not_passed_through():
     for p in f.paths:
         assert all(x not in (0, 2, 6, 8) for x in p[1:-1])
 
+
+
+def test_fan_never_reads_a_target_adjacency():
+    # a target's out-node has one arc, to the auxiliary sink; the BFS would
+    # reach the sink from it first anyway, so only the reads show the arcs
+    read = set()
+
+    class RecordingAdj(tuple):
+        def __getitem__(self, v):
+            read.add(v)
+            return tuple.__getitem__(self, v)
+
+    g = cartesian_product(path(3), path(3))
+    g.adj = RecordingAdj(g.adj)
+    f = fan(g, 4, [0, 2, 6, 8], 4)
+    assert f is not None and {p[-1] for p in f.paths} == {0, 2, 6, 8}
+    assert read and not read & {0, 2, 6, 8}
+
+
+def _fan_cut_exists(g: Graph, x: int, ys, r: int, avoid: frozenset) -> bool:
+    """Some C in V - x - avoid with |C| < r leaves no path from x to Y - C."""
+    others = [v for v in range(g.n) if v != x and v not in avoid]
+    for size in range(r):
+        for cut in combinations(others, size):
+            removed = avoid | set(cut)
+            if not any(_reachable(g, x, y, removed) for y in ys if y not in removed):
+                return True
+    return False
+
+
+def test_fan_is_none_exactly_when_a_small_cut_exists():
+    # Fan lemma: an r-fan from x to Y exists unless fewer than r vertices
+    # other than x (members of Y among them) separate x from Y
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        x = rng.randrange(n)
+        rest = [v for v in range(n) if v != x]
+        ys = rng.sample(rest, rng.randint(1, len(rest)))
+        avoid = frozenset(v for v in rest if v not in ys and rng.random() < 0.3)
+        r = rng.randint(1, len(ys) + 1)
+        f = fan(g, x, ys, r, avoid)
+        assert (f is None) == _fan_cut_exists(g, x, ys, r, avoid), (g, x, ys, r, avoid)
+        if f is not None:
+            assert f.check(g) is None and len(f.paths) == r
+            assert not avoid & {v for p in f.paths for v in p}
+        outcomes.add(f is None)
+    assert outcomes == {True, False}
 
 def test_checkers_catch_violations():
     g = cycle(4)
