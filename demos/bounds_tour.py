@@ -23,13 +23,14 @@ pairs = [
 
 for gname, g, hname, h in pairs:
     prod = cartesian_product(g, h)
-    lb = lower_bound_theorem14(g, h)
+    # each factor's kappa, kappa_3 and minimum degree, computed once
+    ng, nh = [(vertex_connectivity(f), factor_kappa3(f), f.min_degree()) for f in (g, h)]
+    lb = lower_bound_theorem14(*ng, *nh)
     exact = kappa_k(prod, 3, use_symmetry=True)[0]
     verdict = "tight" if exact == lb else f"slack by {exact - lb}"
     print(f"{gname} x {hname}: bound {lb}, exact {exact} ({verdict})")
-    for base, bname, other in ((g, gname, h), (h, hname, g)):
-        l = vertex_connectivity(other)
-        rb = lower_bound_theorem15(base, l)
+    for (kb, k3b, _), bname, (l, _, _) in ((ng, gname, nh), (nh, hname, ng)):
+        rb = lower_bound_theorem15(kb, k3b, l)
         if rb is not None:
             print(f"  range bound via {bname} (l={l}): {rb}")
             assert exact >= rb

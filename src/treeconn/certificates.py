@@ -6,7 +6,10 @@ explicit family of internally disjoint S-trees realizing the applicable
 lower bound.  Each construction assembles trees as unions of fiber pieces
 (paths, fans, whole fibers), materializes them (spanning tree + leaf trim),
 and re-verifies the whole bundle; on any hypothesis failure it falls back
-to exact search on the product, tagged "search-fallback".  Each
+to exact search on the product, tagged "search-fallback".  The product
+graph is built only where a search runs on it: by that fallback, and as
+the 3x3 grid G[us] box H[vs] that Lemma 3.1 case 2 packs in.
+`Certificate.verify` reads product adjacency from the factors.  Each
 construction computes the factors' connectivity once and passes it on, and
 every search it runs ticks the caller's `Budget` (with None, each search
 makes its own default).  Each tree shape is built in one place: Lemma 3.1's
@@ -88,9 +91,6 @@ class Certificate:
     provenance: str
     claimed_bound: int
 
-    def product(self) -> Graph:
-        return cartesian_product(self.g, self.h)
-
     def verify(self) -> Optional[str]:
         if tuple(sorted(self.s)) != self.bundle.s:
             return "certificate terminal set does not match bundle"
@@ -99,7 +99,20 @@ class Certificate:
                 f"bundle has {len(self.bundle)} trees, "
                 f"claimed bound is {self.claimed_bound}"
             )
-        return verify_bundle(self.product(), self.bundle)
+        g, h = self.g, self.h
+        m, n = h.n, g.n * h.n
+
+        # adjacency in G box H by arithmetic on the factors; with a < b, an
+        # edge inside a fiber or a layer is already in ascending order
+        def has_edge(a: int, b: int) -> bool:
+            if not 0 <= a < b < n:
+                return False
+            (ua, va), (ub, vb) = divmod(a, m), divmod(b, m)
+            if ua == ub:
+                return (va, vb) in h.edges
+            return va == vb and (ua, ub) in g.edges
+
+        return verify_bundle(has_edge, self.bundle)
 
 
 # -- flat-id edge assembly helpers ----------------------------------------
@@ -150,11 +163,11 @@ def _transpose_tree(edges: Iterable[Edge], gn: int, hn: int) -> set[Edge]:
 
 
 def _materialize(edges: set[Edge], terminals: set[int]) -> Optional[STree]:
-    """Union of pieces -> spanning tree -> trim non-terminal leaves.
+    """Union of pieces -> BFS spanning tree from the least terminal -> the
+    union of its paths from each terminal up to that root, which is the
+    spanning tree with its non-terminal leaves trimmed.
 
     Returns None when the union fails to connect the terminals."""
-    if not edges:
-        return None
     adj: dict[int, list[int]] = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
@@ -164,35 +177,18 @@ def _materialize(edges: set[Edge], terminals: set[int]) -> Optional[STree]:
         return None
     parent: dict[int, int] = {root: root}
     queue = [root]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
+    for x in queue:
         for y in sorted(adj[x]):
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
     if not terminals <= parent.keys():
         return None
-    tree = {_e(v, p) for v, p in parent.items() if p != v}
-    deg: dict[int, int] = {}
-    for a, b in tree:
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    # peel non-terminal leaves until only the Steiner tree remains
-    leaves = [v for v, d in deg.items() if d == 1 and v not in terminals]
-    tadj: dict[int, set[int]] = {}
-    for a, b in tree:
-        tadj.setdefault(a, set()).add(b)
-        tadj.setdefault(b, set()).add(a)
-    while leaves:
-        v = leaves.pop()
-        (p,) = tadj[v]
-        tree.discard(_e(v, p))
-        tadj[p].discard(v)
-        del tadj[v]
-        if len(tadj[p]) == 1 and p not in terminals:
-            leaves.append(p)
+    tree: set[Edge] = set()
+    for t in terminals:
+        while t != root and _e(t, parent[t]) not in tree:
+            tree.add(_e(t, parent[t]))
+            t = parent[t]
     return STree(frozenset(tree)) if tree else None
 
 
@@ -361,17 +357,17 @@ def _lemma31_case2(
     around it."""
     (u1, v1), (u2, v2), (u3, v3) = pairs
     m = h.n
-    product = cartesian_product(g, h)
-    grid_ids = sorted(flat_id(u, v, m) for u in (u1, u2, u3) for v in (v1, v2, v3))
-    sub, old = product.induced_subgraph(grid_ids)
-    back = {i: x for i, x in enumerate(old)}
-    fwd = {x: i for i, x in enumerate(old)}
-    s_local = [fwd[flat_id(u, v, m)] for (u, v) in pairs]
-    packed = pack_trees(sub, s_local, 3, budget)
+    # G[us] box H[vs] is the product's induced 3x3 grid, labelled in the
+    # order of the grid's flat ids
+    gs, us = g.induced_subgraph((u1, u2, u3))
+    hs, vs = h.induced_subgraph((v1, v2, v3))
+    grid = [flat_id(u, v, m) for u in us for v in vs]
+    s_local = [grid.index(flat_id(u, v, m)) for u, v in pairs]
+    packed = pack_trees(cartesian_product(gs, hs), s_local, 3, budget)
     if packed is None:
         return None
     trees: list[set[Edge]] = [
-        {_e(back[a], back[b]) for a, b in t.edges} for t in packed.trees
+        {_e(grid[a], grid[b]) for a, b in t.edges} for t in packed.trees
     ]
 
     # the H pass threads l - 2 trees through G-layers; the G pass threads
@@ -782,36 +778,34 @@ def _lemma41_group(
 # -- scalar bound calculators ----------------------------------------------
 
 
-def factor_kappa3(g: Graph) -> int:
-    """kappa_3 of a factor; for a 2-vertex factor the plain connectivity is
-    used as the conventional stand-in."""
+def factor_kappa3(g: Graph, budget: Optional[Budget] = None) -> int:
+    """kappa_3 of a factor by the orbit-pruned exact search; for a 2-vertex
+    factor the plain connectivity is used as the conventional stand-in."""
     if g.n < 3:
         return vertex_connectivity(g)
-    return kappa_k(g, 3)[0]
+    return kappa_k(g, 3, budget, use_symmetry=True)[0]
 
 
-def lower_bound_theorem14(g: Graph, h: Graph) -> int:
-    """Three-way minimum lower bound on kappa_3 of the product."""
-    if g.n < 2 or h.n < 2 or not g.is_connected() or not h.is_connected():
+def lower_bound_theorem14(
+    kg: int, k3g: int, dg: int, kh: int, k3h: int, dh: int
+) -> int:
+    """Three-way minimum lower bound on kappa_3(G box H) from each factor's
+    connectivity, kappa_3 and minimum degree."""
+    if min(kg, kh) < 1:
         raise ValueError("factors must be nontrivial and connected")
-    return min(
-        factor_kappa3(g) + h.min_degree(),
-        factor_kappa3(h) + g.min_degree(),
-        vertex_connectivity(g) + vertex_connectivity(h) - 1,
-    )
+    return min(k3g + dh, k3h + dg, kg + kh - 1)
 
 
-def lower_bound_theorem15(g: Graph, l: int) -> Optional[int]:
-    """kappa_3(G) + l - 1 (resp. + l) when the factor-connectivity ranges
-    allow it; None outside those ranges (counterexamples exist beyond)."""
-    if g.n < 2 or not g.is_connected() or l < 1:
+def lower_bound_theorem15(kg: int, k3g: int, l: int) -> Optional[int]:
+    """kappa_3(G) + l - 1 (resp. + l) from G's connectivity kg and kappa_3
+    k3g when the factor-connectivity ranges allow it; None outside those
+    ranges (counterexamples exist beyond)."""
+    if kg < 1 or l < 1:
         raise ValueError("need a nontrivial connected factor and l >= 1")
-    kg = vertex_connectivity(g)
-    k3 = factor_kappa3(g)
-    if kg == k3 and l <= 7:
-        return k3 + l - 1
-    if kg > k3 and l <= 9:
-        return k3 + l
+    if kg == k3g and l <= 7:
+        return k3g + l - 1
+    if kg > k3g and l <= 9:
+        return k3g + l
     return None
 
 

@@ -118,6 +118,8 @@ def load_certificate_document(doc: dict) -> tuple[Graph, Graph, Certificate]:
         raise InputError("terminal pairs disagree with flat ids")
     if (g.n * h.n, g.n * h.m + h.n * g.m) != (product_n, product_m):
         raise InputError("product_n/product_m disagree with the factors")
+    if product_n > graphs.MAX_PRODUCT_VERTICES:
+        raise InputError("product too large for dense vertex ids")
     bundle = STreeBundle(tuple(sorted(s)), trees)
     return g, h, Certificate(g, h, s, bundle, provenance, bound)
 
@@ -305,24 +307,23 @@ def cmd_bounds(args) -> int:
     for name, f in (("G", g), ("H", h)):
         if f.n < 2 or not f.is_connected():
             raise InputError(f"{name} must be connected with >= 2 vertices")
-    kg, kh = vertex_connectivity(g), vertex_connectivity(h)
-    k3g, k3h = factor_kappa3(g), factor_kappa3(h)
-    print(f"G: n={g.n} kappa={kg} kappa3={k3g} delta={g.min_degree()}")
-    print(f"H: n={h.n} kappa={kh} kappa3={k3h} delta={h.min_degree()}")
-    best = lower_bound_theorem14(g, h)
+    budget = Budget(args.budget)
+    numbers = []
+    for name, f in (("G", g), ("H", h)):
+        kappa, k3, delta = vertex_connectivity(f), factor_kappa3(f, budget), f.min_degree()
+        print(f"{name}: n={f.n} kappa={kappa} kappa3={k3} delta={delta}")
+        numbers.append((kappa, k3, delta))
+    (kg, k3g, dg), (kh, k3h, dh) = numbers
+    best = lower_bound_theorem14(kg, k3g, dg, kh, k3h, dh)
     print(f"three-way-min lower bound: {best}")
-    for tag, base, l in (("G + l", g, kh), ("H + l", h, kg)):
-        if l < 1:
-            continue
-        val = lower_bound_theorem15(base, l)
+    for tag, kf, k3f, l in (("G + l", kg, k3g, kh), ("H + l", kh, k3h, kg)):
+        val = lower_bound_theorem15(kf, k3f, l)
         if val is not None:
             print(f"range lower bound ({tag}, l={l}): {val}")
             best = max(best, val)
-    prod = cartesian_product(g, h)
-    if prod.n <= EXACT_PRODUCT_LIMIT:
-        budget = Budget(args.budget)
+    if g.n * h.n <= EXACT_PRODUCT_LIMIT:
         try:
-            exact, _, _ = kappa_k(prod, 3, budget, use_symmetry=True)
+            exact, _, _ = kappa_k(cartesian_product(g, h), 3, budget, use_symmetry=True)
         except BudgetExhausted:
             print("exact kappa3: budget exhausted")
             return EXIT_BUDGET

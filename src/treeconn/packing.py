@@ -7,6 +7,10 @@ order (killing permutation symmetry); minimal S-trees are enumerated
 lazily in the residual graph, their paths by `connectivity.simple_paths`;
 partial packings are pruned by terminal degrees and pairwise-flow
 feasibility.
+
+`verify_bundle` is the one checker of a packing.  It sees the graph only
+through an edge test, so a certificate is checked against G box H by
+arithmetic on the factors, without building the product.
 """
 
 from __future__ import annotations
@@ -35,39 +39,6 @@ class STree:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def check(self, g: Graph, s: Sequence[int]) -> Optional[str]:
-        sset = set(s)
-        if not self.edges:
-            return "tree has no edges"
-        if not self.edges <= g.edges:
-            bad = sorted(self.edges - g.edges)[0]
-            return f"edge {bad} not in graph"
-        verts = self.vertices
-        if not sset <= verts:
-            return f"terminals {sorted(sset - verts)} missing from tree"
-        if len(self.edges) != len(verts) - 1:
-            return "edge count does not match tree on its vertex set"
-        # connectivity over the tree's own vertices
-        adj: dict[int, list[int]] = {v: [] for v in verts}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(verts):
-            return "tree is disconnected"
-        for v in verts:
-            if len(adj[v]) == 1 and v not in sset:
-                return f"degree-1 vertex {v} outside terminal set"
-        return None
-
 
 @dataclass(frozen=True)
 class STreeBundle:
@@ -78,22 +49,48 @@ class STreeBundle:
         return len(self.trees)
 
 
-def verify_bundle(g: Graph, bundle: STreeBundle) -> Optional[str]:
-    """Re-check tree-ness, terminal containment, and pairwise internal
-    disjointness; returns the first violation found."""
+def verify_bundle(
+    has_edge: Callable[[int, int], bool], bundle: STreeBundle
+) -> Optional[str]:
+    """The one packing checker: every tree is a tree of the graph (each edge
+    (a, b) passes `has_edge(a, b)`) whose vertices contain S and whose
+    leaves lie in S, and no two trees share an edge or a vertex outside S.
+
+    One pass over each tree's sorted edges builds its adjacency; `owner`
+    maps every edge and non-terminal vertex seen so far to its tree.
+    Returns the first violation found, tree by tree."""
     sset = set(bundle.s)
-    for i, t in enumerate(bundle.trees):
-        err = t.check(g, bundle.s)
-        if err:
-            return f"tree {i + 1}: {err}"
-    for i, j in combinations(range(len(bundle.trees)), 2):
-        ti, tj = bundle.trees[i], bundle.trees[j]
-        if ti.edges & tj.edges:
-            e = sorted(ti.edges & tj.edges)[0]
-            return f"trees {i + 1},{j + 1} share edge {e}"
-        shared = (ti.vertices & tj.vertices) - sset
-        if shared:
-            return f"trees {i + 1},{j + 1} share non-terminal vertex {sorted(shared)[0]}"
+    owner: dict[Edge | int, int] = {}
+    for i, t in enumerate(bundle.trees, 1):
+        adj: dict[int, list[int]] = {}
+        for e in sorted(t.edges):
+            a, b = e
+            if not has_edge(a, b):
+                return f"tree {i}: edge {e} not in graph"
+            if owner.setdefault(e, i) != i:
+                return f"trees {owner[e]},{i} share edge {e}"
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        if not adj:
+            return f"tree {i}: tree has no edges"
+        if not sset <= adj.keys():
+            return f"tree {i}: terminals {sorted(sset - adj.keys())} missing from tree"
+        if len(t.edges) != len(adj) - 1:
+            return f"tree {i}: edge count does not match tree on its vertex set"
+        seen = {a}  # a: an end of the tree's last edge
+        stack = [a]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != len(adj):
+            return f"tree {i}: tree is disconnected"
+        for v in sorted(adj.keys() - sset):
+            if len(adj[v]) == 1:
+                return f"tree {i}: degree-1 vertex {v} outside terminal set"
+            if owner.setdefault(v, i) != i:
+                return f"trees {owner[v]},{i} share non-terminal vertex {v}"
     return None
 
 
@@ -232,7 +229,7 @@ def pack_trees(
     if found is None:
         return None
     bundle = STreeBundle(terms, tuple(found))
-    err = verify_bundle(g, bundle)
+    err = verify_bundle(g.has_edge, bundle)
     assert err is None, f"internal error: packed bundle invalid: {err}"
     return bundle
 

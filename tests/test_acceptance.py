@@ -15,6 +15,7 @@ from treeconn.bundles import find_cycle_through_edges
 from treeconn.certificates import (
     certify,
     construct_lemma41,
+    factor_kappa3,
     lower_bound_theorem14,
     lower_bound_theorem15,
 )
@@ -216,17 +217,23 @@ def _small_pairs(limit):
             yield gname, g, hname, h
 
 
+def _numbers(f):
+    """A factor's (kappa, kappa_3, minimum degree)."""
+    return vertex_connectivity(f), factor_kappa3(f), f.min_degree()
+
+
 def test_criterion_7_bound_validity():
     violations = []
     sharp = {}
     for gname, g, hname, h in _small_pairs(12):
         prod = cartesian_product(g, h)
         exact = _kappa3(prod, use_symmetry=True)
-        lb14 = lower_bound_theorem14(g, h)
+        ng, nh = _numbers(g), _numbers(h)
+        lb14 = lower_bound_theorem14(*ng, *nh)
         if exact < lb14:
             violations.append((gname, hname, exact, lb14))
-        for base, other in ((g, h), (h, g)):
-            lb15 = lower_bound_theorem15(base, vertex_connectivity(other))
+        for (kb, k3b, _), (kother, _, _) in ((ng, nh), (nh, ng)):
+            lb15 = lower_bound_theorem15(kb, k3b, kother)
             if lb15 is not None and exact < lb15:
                 violations.append((gname, hname, exact, f"thm15={lb15}"))
         sharp[(gname, hname)] = (exact, lb14)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from treeconn.certificates import (
     prop42_bound,
 )
 from treeconn.cli import certificate_document, dump_document
+from treeconn.connectivity import vertex_connectivity
 from treeconn.errors import Budget, BudgetExhausted
 from treeconn.graphs import (
     Graph,
@@ -233,22 +235,33 @@ def test_factor_kappa3_small_convention():
     assert factor_kappa3(complete(5)) == 3
 
 
+def _numbers(f):
+    """A factor's (kappa, kappa_3, minimum degree)."""
+    return vertex_connectivity(f), factor_kappa3(f), f.min_degree()
+
+
 def test_lower_bound_theorem14_values():
-    assert lower_bound_theorem14(complete(3), complete(3)) == 3
-    assert lower_bound_theorem14(path(2), path(2)) == 1
-    assert lower_bound_theorem14(cycle(3), cycle(3)) == 3
+    def bound(g, h):
+        return lower_bound_theorem14(*_numbers(g), *_numbers(h))
+
+    assert bound(complete(3), complete(3)) == 3
+    assert bound(path(2), path(2)) == 1
+    assert bound(cycle(3), cycle(3)) == 3
     with pytest.raises(ValueError):
-        lower_bound_theorem14(path(1), complete(3))
+        bound(path(1), complete(3))
 
 
 def test_lower_bound_theorem15_ranges():
+    def bound(g, l):
+        return lower_bound_theorem15(*_numbers(g)[:2], l)
+
     # kappa == kappa3 (P3): valid for l <= 7
-    assert lower_bound_theorem15(path(3), 7) == 1 + 7 - 1
-    assert lower_bound_theorem15(path(3), 8) is None
+    assert bound(path(3), 7) == 1 + 7 - 1
+    assert bound(path(3), 8) is None
     # kappa > kappa3 (C4, K4): valid for l <= 9
-    assert lower_bound_theorem15(cycle(4), 8) == 1 + 8
-    assert lower_bound_theorem15(complete(4), 9) == 2 + 9
-    assert lower_bound_theorem15(complete(4), 10) is None
+    assert bound(cycle(4), 8) == 1 + 8
+    assert bound(complete(4), 9) == 2 + 9
+    assert bound(complete(4), 10) is None
 
 
 def test_join_complete_empty2_factor():
@@ -354,3 +367,131 @@ def test_construction_bytes_pinned(monkeypatch):
     assert digest.hexdigest() == (
         "208dc871f3319e939ea1c0106fbe9e036228ef3adc53300a4e930fe871ab4ba0"
     )
+
+
+# -- the one-pass verifier --------------------------------------------------
+
+
+def _reference_error(g, h, bundle):
+    """The checker `verify_bundle` replaced: every tree on its own against
+    the built product, then every pair of trees."""
+    prod = cartesian_product(g, h)
+    sset = set(bundle.s)
+    verts = []
+    for i, t in enumerate(bundle.trees):
+        vs = {v for e in t.edges for v in e}
+        verts.append(vs)
+        adj = {v: [] for v in vs}
+        for a, b in t.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        seen, stack = set(), [min(sset)]
+        while stack:
+            x = stack.pop()
+            if x in adj and x not in seen:
+                seen.add(x)
+                stack.extend(adj[x])
+        if not (
+            t.edges <= prod.edges
+            and sset <= vs
+            and len(t.edges) == len(vs) - 1
+            and seen == vs
+            and all(len(adj[v]) > 1 for v in vs - sset)
+        ):
+            return f"tree {i + 1} is not an S-tree"
+    for i, j in combinations(range(len(bundle.trees)), 2):
+        ti, tj = bundle.trees[i], bundle.trees[j]
+        if ti.edges & tj.edges or (verts[i] & verts[j]) - sset:
+            return f"trees {i + 1},{j + 1} overlap"
+    return None
+
+
+def _mutant(g, h, bundle, rng):
+    """One to three seeded corruptions of a sound bundle: drop, add or
+    reverse an edge, add an edge between ids outside the product (or
+    negative ones), merge two trees, duplicate or drop a tree."""
+    n = g.n * h.n
+    prod_edges = sorted(cartesian_product(g, h).edges)
+    trees = [set(t.edges) for t in bundle.trees]
+    for _ in range(rng.randint(1, 3)):
+        t = rng.choice(trees)
+        kind = rng.randrange(8)
+        if kind == 0 and t:
+            t.discard(rng.choice(sorted(t)))
+        elif kind == 1:
+            t.add(rng.choice(prod_edges))
+        elif kind == 2 and t:
+            a, b = rng.choice(sorted(t))
+            t.discard((a, b))
+            t.add((b, a))
+        elif kind == 3:
+            x = rng.choice([n, n + h.n, -h.n, -1])
+            t.add((x, x + 1))
+        elif kind == 4 and len(trees) > 1:
+            i, j = sorted(rng.sample(range(len(trees)), 2))
+            trees[i] |= trees.pop(j)
+        elif kind == 5:
+            trees.append(set(t))
+        elif kind == 6 and len(trees) > 1:
+            trees.remove(t)
+        else:
+            a, b = rng.choice(prod_edges)
+            t.add((a, rng.randrange(n)))
+    return STreeBundle(bundle.s, tuple(STree(frozenset(t)) for t in trees))
+
+
+def test_verify_agrees_with_brute_force_reference():
+    rng = random.Random(8)
+    verdicts = {True: 0, False: 0}
+    for g, h in ((complete(3), complete(3)), (cycle(4), path(3)), (complete(4), cycle(4))):
+        for s in rng.sample(list(combinations(range(g.n * h.n), 3)), 12):
+            sound = certify(g, h, s)
+            for _ in range(25):
+                bundle = _mutant(g, h, sound.bundle, rng)
+                cert = Certificate(g, h, sound.s, bundle, sound.provenance, 1)
+                accepted = cert.verify() is None
+                assert accepted == (_reference_error(g, h, bundle) is None), bundle
+                verdicts[accepted] += 1
+    assert min(verdicts.values()) >= 25, verdicts  # both verdicts are exercised
+
+
+@pytest.mark.parametrize("s", [(9, 10, 11), (-3, -2, -1)], ids=["past-end", "negative"])
+def test_verify_rejects_ids_outside_the_product(s):
+    # each id pair has the coordinates of an H-edge, in a G-row that K3 lacks
+    g = h = complete(3)
+    tree = STree(frozenset({(s[0], s[1]), (s[1], s[2])}))
+    cert = Certificate(g, h, s, STreeBundle(s, (tree,)), "search-fallback", 1)
+    assert cert.verify() == f"tree 1: edge {(s[0], s[1])} not in graph"
+
+
+def test_verify_rejects_reversed_edge():
+    g = h = complete(3)
+    sound = certify(g, h, _s(g, h, [(0, 0), (1, 1), (2, 2)]))
+    first = sound.bundle.trees[0]
+    a, b = min(first.edges)
+    tree = STree(first.edges - {(a, b)} | {(b, a)})
+    bundle = STreeBundle(sound.bundle.s, (tree,) + sound.bundle.trees[1:])
+    cert = Certificate(g, h, sound.s, bundle, sound.provenance, 1)
+    assert cert.verify() == f"tree 1: edge {(b, a)} not in graph"
+
+
+def test_verify_and_constructions_build_no_full_product(monkeypatch):
+    built = []
+    real = certificates.cartesian_product
+
+    def counting(a, b):
+        built.append((a.n, b.n))
+        return real(a, b)
+
+    monkeypatch.setattr(certificates, "cartesian_product", counting)
+    g = h = complete(4)
+    tags = set()
+    for pairs in ([(0, 0), (1, 1), (2, 2)], [(0, 0), (0, 1), (1, 0)],
+                  [(0, 0), (1, 0), (2, 1)], [(0, 0), (1, 0), (2, 0)],
+                  [(0, 0), (0, 1), (0, 2)]):
+        cert = certify(g, h, _s(g, h, pairs))
+        _check(cert)
+        tags.add(cert.provenance.split("/")[0])
+    assert tags == {"3.1", "3.2", "3.3", "3.4", "4.1"}
+    # only Lemma 3.1 case 2's 3x3 grid, which it packs in
+    assert built == [(3, 3)]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from treeconn import cli
+from treeconn import certificates, cli
 from treeconn.graphs import (
     Graph,
     cartesian_product,
@@ -341,6 +341,31 @@ def test_bounds_p2_p2(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "three-way-min lower bound: 1" in out
     assert "exact kappa3 = 1" in out
+
+
+def test_bounds_factor_kappa3_once_under_the_budget(tmp_path, monkeypatch, capsys):
+    files = []
+    for name, f in (("c5", cycle(5)), ("k4", complete(4))):
+        files.append(tmp_path / f"{name}.el")
+        files[-1].write_text(format_edge_list(f))
+    calls = []
+    real = certificates.kappa_k
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(certificates, "kappa_k", counting)
+    assert run(["bounds", *map(str, files)]) == 0
+    assert calls == [cycle(5), complete(4)]
+    assert capsys.readouterr().out == (
+        "G: n=5 kappa=2 kappa3=1 delta=2\n"
+        "H: n=4 kappa=3 kappa3=2 delta=3\n"
+        "three-way-min lower bound: 4\n"
+        "range lower bound (G + l, l=3): 4\n"
+        "range lower bound (H + l, l=2): 4\n"
+    )
+    assert run(["bounds", *map(str, files), "--budget", "1"]) == cli.EXIT_BUDGET
 
 
 # -- family detection -------------------------------------------------------

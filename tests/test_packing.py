@@ -36,17 +36,22 @@ def kappa3(g, **kw):
 # -- S-tree and bundle checkers --------------------------------------------
 
 
+def _tree_error(g, tree, s):
+    """verify_bundle on the one-tree bundle of `tree`."""
+    return verify_bundle(g.has_edge, STreeBundle(tuple(sorted(s)), (tree,)))
+
+
 def test_stree_check_catches_violations():
     g = cycle(5)
-    assert STree(frozenset({(0, 1), (1, 2)})).check(g, [0, 2]) is None
-    assert STree(frozenset()).check(g, [0, 2]) is not None
-    assert STree(frozenset({(0, 2)})).check(g, [0, 2]) is not None  # non-edge
-    assert STree(frozenset({(0, 1)})).check(g, [0, 2]) is not None  # misses 2
+    assert _tree_error(g, STree(frozenset({(0, 1), (1, 2)})), [0, 2]) is None
+    assert _tree_error(g, STree(frozenset()), [0, 2]) is not None
+    assert _tree_error(g, STree(frozenset({(0, 2)})), [0, 2]) is not None  # non-edge
+    assert _tree_error(g, STree(frozenset({(0, 1)})), [0, 2]) is not None  # misses 2
     # degree-1 vertex outside S
-    assert STree(frozenset({(0, 1), (1, 2), (2, 3)})).check(g, [0, 2]) is not None
+    assert _tree_error(g, STree(frozenset({(0, 1), (1, 2), (2, 3)})), [0, 2]) is not None
     # cycle, not a tree
     all_edges = STree(frozenset(g.edges))
-    assert all_edges.check(g, [0, 2]) is not None
+    assert _tree_error(g, all_edges, [0, 2]) is not None
 
 
 def test_verify_bundle_disjointness():
@@ -54,9 +59,9 @@ def test_verify_bundle_disjointness():
     t1 = STree(frozenset({(0, 1), (1, 2)}))
     t2 = STree(frozenset({(0, 3), (1, 3), (2, 3)}))
     s = (0, 1, 2)
-    assert verify_bundle(g, STreeBundle(s, (t1, t2))) is None
+    assert verify_bundle(g.has_edge, STreeBundle(s, (t1, t2))) is None
     overlap = STree(frozenset({(0, 1), (1, 3), (2, 3)}))
-    err = verify_bundle(g, STreeBundle(s, (t1, overlap)))
+    err = verify_bundle(g.has_edge, STreeBundle(s, (t1, overlap)))
     assert "share edge" in err
 
 
@@ -65,7 +70,7 @@ def test_verify_bundle_internal_vertex_clash():
     t1 = STree(frozenset({(0, 3), (1, 3), (2, 3)}))
     # shares non-terminal vertex 3 with t1 but no edge
     t2 = STree(frozenset({(0, 4), (2, 4), (3, 4), (3, 5), (1, 5)}))
-    err = verify_bundle(g, STreeBundle((0, 1, 2), (t1, t2)))
+    err = verify_bundle(g.has_edge, STreeBundle((0, 1, 2), (t1, t2)))
     assert "share non-terminal vertex 3" in err
 
 
@@ -80,7 +85,7 @@ def _brute_minimal_trees(g, s):
     for r in range(len(s) - 1, g.n):
         for sub in combinations(edges, r):
             t = STree(frozenset(sub))
-            if t.check(g, s) is None:
+            if _tree_error(g, t, s) is None:
                 out.add(t.edges)
     return out
 
@@ -160,7 +165,7 @@ def test_kappa_k_witness_is_valid():
     val, s, bundle = kappa_k(g, 3)
     assert val == 2
     assert bundle.s == s and len(bundle) == 2
-    assert verify_bundle(g, bundle) is None
+    assert verify_bundle(g.has_edge, bundle) is None
 
 
 def test_kappa_k_symmetry_agrees():
