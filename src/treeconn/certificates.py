@@ -10,11 +10,11 @@ to exact search on the product, tagged "search-fallback".  The product
 graph is built only where a search runs on it: by that fallback, and as
 the 3x3 grid G[us] box H[vs] that Lemma 3.1 case 2 packs in.
 `Certificate.verify` reads product adjacency from the factors.  Each
-construction computes the factors' connectivity once and passes it on, and
-every search it runs ticks the caller's `Budget` (with None, each search
-makes its own default).  Each tree shape is built in one place: Lemma 3.1's
-path-fiber-rung-fan tree by `_rung_tree` in both cases and orientations,
-Lemma 4.1's three-tree braid by one local helper.
+construction computes the factors' invariants once (Lemma 3.4's kappa_3(G)
+by orbit pruning), and every search it runs ticks the caller's `Budget`
+(with None, each search makes its own default).  Each tree shape is built
+in one place: Lemma 3.1's path-fiber-rung-fan tree by `_rung_tree` in both
+cases and orientations, Lemma 4.1's three-tree braid by one local helper.
 
 Tree pieces live in flat product ids: (u, v) -> u * |V(H)| + v.
 """
@@ -548,8 +548,7 @@ def construct_lemma34(
     v1 = pairs[0][1]
     us = [u for u, _ in pairs]
     m = h.n
-    k3g = kappa_k(g, 3, budget)[0]
-    claimed = k3g + h.min_degree()
+    claimed = factor_kappa3(g, budget) + h.min_degree()
     _, gbundle = max_internally_disjoint_trees(g, us, budget)
     trees: list[set[Edge]] = []
     for t in gbundle.trees:

@@ -118,6 +118,8 @@ def load_certificate_document(doc: dict) -> tuple[Graph, Graph, Certificate]:
         raise InputError("terminal pairs disagree with flat ids")
     if (g.n * h.n, g.n * h.m + h.n * g.m) != (product_n, product_m):
         raise InputError("product_n/product_m disagree with the factors")
+    if not all(0 <= x < product_n for x in s):
+        raise InputError(f"terminal flat ids {list(s)} outside 0..{product_n - 1}")
     if product_n > graphs.MAX_PRODUCT_VERTICES:
         raise InputError("product too large for dense vertex ids")
     bundle = STreeBundle(tuple(sorted(s)), trees)

@@ -16,7 +16,7 @@ arithmetic on the factors, without building the product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from .connectivity import max_disjoint_paths, path_edges, simple_paths
@@ -401,12 +401,13 @@ def kappa_k(
 ) -> tuple[int, tuple[int, ...], STreeBundle]:
     """min over k-subsets of kappa(S); returns (value, witness S, bundle).
 
-    Subsets already known to meet the current minimum are skipped via a
-    single packing decision instead of a full evaluation.  With
-    `use_symmetry`, only the least k-subset of each Aut(g)-orbit is
-    evaluated; the result is the same, because the least subset attaining
-    the minimum is the least of its orbit and `pack_trees` depends only on
-    (g, S, r).
+    The least subset 0..k-1 is evaluated first; if its kappa is 1 it is the
+    answer, and no automorphism is searched for.  Later subsets already
+    known to meet the current minimum are skipped via a single packing
+    decision instead of a full evaluation.  With `use_symmetry`, only the
+    least k-subset of each Aut(g)-orbit is evaluated; the result is the
+    same, because the least subset attaining the minimum is the least of
+    its orbit and `pack_trees` depends only on (g, S, r).
     """
     if not 2 <= k <= g.n:
         raise ValueError("need 2 <= k <= n")
@@ -414,26 +415,24 @@ def kappa_k(
         budget = Budget(DEFAULT_PACK_BUDGET)
     if not g.is_connected():
         raise ValueError("graph must be connected")
+    best_s = tuple(range(k))
+    best, best_bundle = max_internally_disjoint_trees(g, best_s, budget)
+    if best == 1:
+        return best, best_s, best_bundle
     subsets = (
         subset_orbit_reps(g, k, automorphism_generators(g, budget))
         if use_symmetry
-        else list(combinations(range(g.n), k))
+        else combinations(range(g.n), k)
     )
-    best: Optional[int] = None
-    best_s: Optional[tuple[int, ...]] = None
-    best_bundle: Optional[STreeBundle] = None
-    for sub in subsets:
-        if best is not None:
-            if best == 1:
-                break
-            if pack_trees(g, sub, best, budget) is not None:
-                continue
-            val, bundle = max_internally_disjoint_trees(g, sub, budget, upper=best - 1)
-        else:
-            val, bundle = max_internally_disjoint_trees(g, sub, budget)
-        if best is None or val < best:
-            best, best_s, best_bundle = val, sub, bundle
-    assert best is not None and best_s is not None and best_bundle is not None
+    # both orders start with 0..k-1, the least subset, already evaluated
+    for sub in islice(subsets, 1, None):
+        if best == 1:
+            break
+        if pack_trees(g, sub, best, budget) is None:
+            best, best_bundle = max_internally_disjoint_trees(
+                g, sub, budget, upper=best - 1
+            )
+            best_s = sub
     return best, best_s, best_bundle
 
 

@@ -337,6 +337,16 @@ def test_sub_searches_share_callers_budget(pairs):
         certify(g, h, _s(g, h, pairs), Budget(1))
 
 
+def test_lemma34_budget_use_pinned():
+    # Lemma 3.4 takes kappa3(G) from the orbit-pruned search (the plain
+    # search over every 3-set of Petersen used 4,132 ticks in all)
+    g, h = _petersen(), complete(3)
+    budget = Budget(10**9)
+    cert = certify(g, h, [0, 3, 6], budget)
+    assert cert.provenance == "3.4"
+    assert budget.used == 592
+
+
 def _pinned_certificates():
     """Every 3-set of C4 box P3 and K3 box K3, then the forced Lemma 4.1
     shapes of acceptance criterion 6."""

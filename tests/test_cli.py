@@ -324,6 +324,22 @@ def test_verify_rejects_float_s_pairs(k3_file, tmp_path, capsys):
     _assert_refused(cert, doc, capsys)
 
 
+@pytest.mark.parametrize(
+    "flat,pairs",
+    [([9, 10, 11], [[3, 0], [3, 1], [3, 2]]), ([-3, -2, -1], [[-1, 0], [-1, 1], [-1, 2]])],
+    ids=["past-end", "negative"],
+)
+def test_verify_rejects_terminals_outside_the_product(k3_file, tmp_path, capsys, flat, pairs):
+    # the pairs agree with the flat ids by divmod, so only the range is off
+    cert, doc = _k3_document(k3_file, tmp_path)
+    doc["s"] = {"flat": flat, "pairs": pairs}
+    doc["claimed_bound"] = 1
+    doc["trees"] = [[flat[:2], flat[1:]]]
+    cert.write_text(json.dumps(doc))
+    assert run(["verify", str(cert)]) == cli.EXIT_INPUT
+    assert "outside" in capsys.readouterr().err
+
+
 # -- bounds -----------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treeconn import packing
 from treeconn.connectivity import vertex_connectivity
 from treeconn.errors import Budget, BudgetExhausted
 from treeconn.graphs import (
@@ -171,6 +172,48 @@ def test_kappa_k_witness_is_valid():
 def test_kappa_k_symmetry_agrees():
     for g in (complete(5), cycle(6), complete_bipartite(2, 3)):
         assert kappa_k(g, 3)[0] == kappa_k(g, 3, use_symmetry=True)[0]
+
+
+def test_kappa_k_skips_automorphisms_when_first_subset_has_kappa_1(monkeypatch):
+    calls = []
+    real = packing.automorphism_generators
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(packing, "automorphism_generators", counting)
+    value, witness, bundle = kappa_k(cycle(8), 3, use_symmetry=True)
+    assert (value, witness, bundle.s) == (1, (0, 1, 2), (0, 1, 2))
+    assert calls == []
+    assert kappa_k(complete(4), 3, use_symmetry=True)[0] == 2
+    assert calls == [complete(4)]
+
+
+def _sweep_factors():
+    """Every factor of the bench's certify-sweep products, Petersen first."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    yield Graph(10, outer + spokes + inner)
+    yield from (complete(3), cycle(5), complete(5), cycle(6), cycle(4), cycle(8),
+                cycle(9), complete_bipartite(4, 4), complete_bipartite(2, 3),
+                complete_bipartite(3, 3))
+
+
+def _connected_graphs_up_to_5():
+    """Every connected labelled graph with 3 to 5 vertices (k = 3 needs 3)."""
+    for n in range(3, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [e for b, e in enumerate(pairs) if mask >> b & 1])
+            if g.is_connected():
+                yield g
+
+
+def test_kappa_k_symmetry_returns_the_same_witness_and_bundle():
+    for g in (*_connected_graphs_up_to_5(), *_sweep_factors()):
+        assert kappa_k(g, 3) == kappa_k(g, 3, use_symmetry=True), g.edges
 
 
 def test_max_trees_monotone_under_edge_removal():
