@@ -34,6 +34,7 @@ def _max_flow(
     need: Optional[int],
     avoid: frozenset[int],
     ends: frozenset[int] = frozenset(),
+    shared: frozenset[int] = frozenset(),
 ) -> set[tuple[int, int]]:
     """Unit-capacity max flow via BFS augmentation on the vertex-split
     digraph of g minus `avoid`; returns the arcs that carry flow.
@@ -41,7 +42,9 @@ def _max_flow(
     Vertex v has in-node 2v and out-node 2v+1.  The arcs are read from
     g.adj as the BFS reaches a node: in(v) -> out(v); out(v) -> t when v is
     in `ends` (a fan terminal, never passed through); otherwise out(v) ->
-    in(w) for each neighbour w outside `avoid`, ascending."""
+    in(w) for each neighbour w outside `avoid`, ascending.  A vertex in
+    `shared` is not split: its in-node takes the out-node's arcs, so only
+    its edges bound the flow through it."""
     flow: set[tuple[int, int]] = set()
     # back[x]: tails y of arcs (y, x) carrying flow, i.e. the residual
     # reverse arcs out of x.
@@ -56,7 +59,7 @@ def _max_flow(
             x = queue[qi]
             qi += 1
             v, out = divmod(x, 2)
-            if not out:
+            if not out and v not in shared:
                 arcs = (x + 1,)
             elif v in ends:
                 arcs = (t,)
@@ -116,12 +119,17 @@ def max_disjoint_paths(
     v: int,
     need: Optional[int] = None,
     avoid: frozenset[int] = frozenset(),
+    shared: frozenset[int] = frozenset(),
 ) -> list[list[int]]:
     """Maximum family of internally disjoint u-v paths (capped at `need`),
-    avoiding the given internal vertices entirely."""
+    avoiding the given internal vertices entirely.  The paths may share
+    vertices in `shared`, though never an edge; a path may then revisit
+    such a vertex, so only their number is meaningful."""
     if u == v:
         raise ValueError("endpoints must differ")
-    flow = _max_flow(g, 2 * u + 1, 2 * v, need, avoid - {u, v})
+    flow = _max_flow(
+        g, 2 * u + 1, 2 * v, need, avoid - {u, v}, shared=shared - {u, v}
+    )
     return _decompose(flow, 2 * u + 1, 2 * v)
 
 

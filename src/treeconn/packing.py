@@ -5,8 +5,10 @@ kappa_3 formula used as an oracle.
 Search strategy: trees are packed one at a time in ascending canonical
 order (killing permutation symmetry); minimal S-trees are enumerated
 lazily in the residual graph, their paths by `connectivity.simple_paths`;
-partial packings are pruned by terminal degrees and pairwise-flow
-feasibility.
+partial packings are pruned by terminal degrees, by counting the free
+edges at S (a tree on S alone has |S|-1 edges inside S, any other tree at
+least |S| edges at S, since its non-terminals span a forest), and by
+pairwise flows in which the trees' paths may share terminals.
 
 `verify_bundle` is the one checker of a packing.  It sees the graph only
 through an edge test, so a certificate is checked against G box H by
@@ -170,28 +172,42 @@ def pack_trees(
     terms = tuple(sorted(set(s)))
     if r < 1:
         raise ValueError("r must be positive")
-    sset = set(terms)
-
-    def free_degree(v: int, banned_v: set[int], banned_e: set[Edge]) -> int:
-        return sum(
-            1
-            for y in g.neighbors(v)
-            if y not in banned_v
-            and (((v, y) if v < y else (y, v)) not in banned_e)
-        )
+    if len(terms) < 2:
+        raise ValueError("need at least two terminals")
+    sset = frozenset(terms)
+    k = len(terms)
 
     def feasible(rem: int, banned_v: set[int], banned_e: set[Edge]) -> bool:
+        # Counting bound: a tree on S alone has k-1 edges inside S; any other
+        # tree has k+|X|-1 edges (X its non-terminals), at most |X|-1 of them
+        # inside X (a forest), so at least k at S.  The trees are edge-
+        # disjoint and at most inner // (k-1) of them lie on S alone.
+        inner = cross = 0
         for t in terms:
-            if free_degree(t, banned_v, banned_e) < rem:
+            deg = 0
+            for y in g.neighbors(t):
+                if y in banned_v or ((t, y) if t < y else (y, t)) in banned_e:
+                    continue
+                deg += 1
+                if y in sset:
+                    inner += 1
+                else:
+                    cross += 1
+            if deg < rem:
                 return False
-        if len(g.edges) - len(banned_e) < rem * (len(terms) - 1):
+        inner //= 2
+        if rem * k > inner + cross + inner // (k - 1):
             return False
         if rem >= 2:
+            # each tree holds an a-b path; the paths share no edge and no
+            # vertex outside S, but may pass through the other terminals
             residual = Graph(g.n, g.edges - banned_e)
             avoid = frozenset(banned_v)
             for a, b in combinations(terms, 2):
                 got = len(
-                    max_disjoint_paths(residual, a, b, need=rem, avoid=avoid)
+                    max_disjoint_paths(
+                        residual, a, b, need=rem, avoid=avoid, shared=sset
+                    )
                 )
                 if got < rem:
                     return False

@@ -126,6 +126,16 @@ def test_max_disjoint_paths_avoid():
     assert len(max_disjoint_paths(g, 0, 3, avoid=frozenset({1}))) == 1
 
 
+def test_max_disjoint_paths_shared():
+    # both 1-2 paths pass through 0: 1-0-2 and 1-4-0-3-2, edge-disjoint
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3)])
+    assert len(max_disjoint_paths(g, 1, 2)) == 1
+    assert len(max_disjoint_paths(g, 1, 2, shared=frozenset({0}))) == 2
+    # a shared vertex still passes each edge once: K1,3's centre
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert len(max_disjoint_paths(star, 1, 2, shared=frozenset({0}))) == 1
+
+
 def test_disjoint_paths_deterministic():
     g = complete(5)
     a = max_disjoint_paths(g, 0, 4, need=4)

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeconn import packing
-from treeconn.connectivity import vertex_connectivity
+from treeconn.connectivity import (
+    kappa3_upper_adjacent_min_degree,
+    vertex_connectivity,
+)
 from treeconn.errors import Budget, BudgetExhausted
 from treeconn.graphs import (
     Graph,
@@ -214,6 +217,74 @@ def _connected_graphs_up_to_5():
 def test_kappa_k_symmetry_returns_the_same_witness_and_bundle():
     for g in (*_connected_graphs_up_to_5(), *_sweep_factors()):
         assert kappa_k(g, 3) == kappa_k(g, 3, use_symmetry=True), g.edges
+
+
+def test_pack_trees_counting_bound_decides_at_root():
+    # K7, S = {0,1,2}, r = 6: degrees allow 6, but 3 inner + 12 cross edges
+    # + 3 // 2 give 16 < 6 * 3, so no tree is ever enumerated
+    assert pack_trees(complete(7), (0, 1, 2), 6, Budget(0)) is None
+    # K4,4, S across both parts, r = 4: degrees allow 4; 2 inner + 8 cross
+    # + 2 // 2 = 11 < 4 * 3
+    assert pack_trees(complete_bipartite(4, 4), (0, 1, 4), 4, Budget(0)) is None
+    budget = Budget(10**6)
+    assert kappa_k(complete(7), 3, budget, use_symmetry=True)[0] == 5
+    assert budget.used == 135  # 1,375 before the counting bound
+
+
+def _brute_max_packing(g, s):
+    """Largest family of pairwise internally disjoint minimal S-trees: no
+    shared edge, no shared vertex outside S."""
+    sset = set(s)
+    trees = [(t.edges, t.vertices - sset) for t in iter_minimal_s_trees(g, s)]
+    best = 0
+
+    def rec(start, used_e, used_v, count):
+        nonlocal best
+        best = max(best, count)
+        for i in range(start, len(trees)):
+            edges, inner = trees[i]
+            if used_e.isdisjoint(edges) and used_v.isdisjoint(inner):
+                rec(i + 1, used_e | edges, used_v | inner, count + 1)
+
+    rec(0, frozenset(), frozenset(), 0)
+    return best
+
+
+def test_max_trees_match_brute_force_on_all_small_graphs():
+    # every 3-set and 4-set of every connected labelled graph on 3-5
+    # vertices; k = 4 exercises the inner // (k - 1) term of the counting
+    # bound.  The flow check must let the trees' paths pass through
+    # another terminal: on 0-1, 0-2, 0-3, 0-4, 1-4, 2-3 with S = {0, 1, 2}
+    # both trees {01, 02} and {03, 23, 04, 14} have their 1-2 path
+    # through 0.
+    for g in _connected_graphs_up_to_5():
+        for k in (3, 4):
+            for s in combinations(range(g.n), k):
+                assert max_internally_disjoint_trees(g, s)[0] == _brute_max_packing(
+                    g, s
+                ), (g.edges, s)
+
+
+def _graphs_meeting_adjacent_min_degree():
+    yield from _connected_graphs_up_to_5()
+    # a seeded sample of 6-vertex graphs (all 26,704 connected labelled
+    # ones take about a minute)
+    rng = random.Random(6)
+    pairs = list(combinations(range(6), 2))
+    for _ in range(1000):
+        g = Graph(6, [e for e in pairs if rng.random() < 0.6])
+        if g.is_connected():
+            yield g
+
+
+def test_kappa3_at_most_delta_minus_1_with_adjacent_min_degree_pair():
+    checked = 0
+    for g in _graphs_meeting_adjacent_min_degree():
+        upper = kappa3_upper_adjacent_min_degree(g)
+        if upper is not None:
+            assert kappa3(g) <= upper, g.edges
+            checked += 1
+    assert checked == 108 + 173  # graphs on 3-5 vertices, then the sample
 
 
 def test_max_trees_monotone_under_edge_removal():
