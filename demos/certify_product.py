@@ -32,7 +32,7 @@ for pairs in positions:
           f"S-trees, so kappa(S) >= {cert.claimed_bound}")
     tree = cert.bundle.trees[0]
     rendered = [
-        f"{unflat_id(a, h.n)}-{unflat_id(b, h.n)}" for a, b in tree.sorted_edges()
+        f"{unflat_id(a, h.n)}-{unflat_id(b, h.n)}" for a, b in sorted(tree.edges)
     ]
     print(f"  first tree: {', '.join(rendered)}")
     print()

@@ -29,9 +29,6 @@ from .connectivity import (
 from .errors import Budget
 from .graphs import Graph
 
-DEFAULT_BUDGET = 10**7
-
-
 @dataclass(frozen=True)
 class OriginalPathBundle:
     u1: int
@@ -128,12 +125,6 @@ def verify_reduced_bundle(g: Graph, rb: ReducedPathBundle) -> Optional[str]:
 # -- bundle search -------------------------------------------------------
 
 
-def _flow_at_least(g: Graph, u: int, v: int, need: int, avoid: frozenset[int]) -> bool:
-    if need <= 0:
-        return True
-    return len(max_disjoint_paths(g, u, v, need=need, avoid=avoid)) >= need
-
-
 def find_reduced_bundle(
     g: Graph,
     k: int,
@@ -152,7 +143,7 @@ def find_reduced_bundle(
     if len({u1, u2, u3}) != 3:
         raise ValueError("anchor vertices must be distinct")
     if budget is None:
-        budget = Budget(DEFAULT_BUDGET)
+        budget = Budget()
     t_values = range(0, k // 2 + 1) if t is None else [t]
     for tv in t_values:
         rb = _search_bundle(g, k, u1, u2, u3, tv, budget)
@@ -174,7 +165,8 @@ def _search_bundle(
     ) -> Optional[ReducedPathBundle]:
         if len(through) == t:
             return choose_free(through, [], used, used_edges)
-        if not _flow_at_least(g, u1, u2, k - t, frozenset(used | {u3})):
+        need, avoid = k - t, frozenset(used | {u3})
+        if len(max_disjoint_paths(g, u1, u2, need, avoid)) < need:
             return None
         banned = frozenset(used | {u1, u2})
         prev = tuple(through[-1]) if through else None
@@ -206,9 +198,8 @@ def _search_bundle(
     ) -> Optional[ReducedPathBundle]:
         if len(free) == k - t:
             return choose_connectors(through, free, used)
-        if not _flow_at_least(
-            g, u1, u2, k - t - len(free), frozenset(used | {u3})
-        ):
+        need, avoid = k - t - len(free), frozenset(used | {u3})
+        if len(max_disjoint_paths(g, u1, u2, need, avoid)) < need:
             return None
         banned = frozenset(used | {u1, u2, u3})
         prev = tuple(free[-1]) if free else None
@@ -310,7 +301,7 @@ def find_cycle_through_edges(
     at their lowest vertex, ascending second vertex.
     """
     if budget is None:
-        budget = Budget(DEFAULT_BUDGET)
+        budget = Budget()
     edges = [tuple(e1), tuple(e2), tuple(e3)]
     ends = [v for e in edges for v in e]
     if len(set(ends)) != 6:

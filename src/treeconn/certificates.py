@@ -12,9 +12,11 @@ the 3x3 grid G[us] box H[vs] that Lemma 3.1 case 2 packs in.
 `Certificate.verify` reads product adjacency from the factors.  Each
 construction computes the factors' invariants once (Lemma 3.4's kappa_3(G)
 by orbit pruning), and every search it runs ticks the caller's `Budget`
-(with None, each search makes its own default).  Each tree shape is built
-in one place: Lemma 3.1's path-fiber-rung-fan tree by `_rung_tree` in both
-cases and orientations, Lemma 4.1's three-tree braid by one local helper.
+(with None, a default `Budget()`).  Each tree shape is built in one place:
+`_star` builds the piece under every construction, one factor copied into a
+fiber and joined to S by rungs along the other factor; `_rung_tree` builds
+Lemma 3.1's path-fiber-rung-fan tree in both cases and orientations; one
+local helper builds Lemma 4.1's three-tree braid.
 
 Tree pieces live in flat product ids: (u, v) -> u * |V(H)| + v.
 """
@@ -26,7 +28,7 @@ from itertools import permutations
 from math import ceil
 from typing import Iterable, Optional, Sequence
 
-from .bundles import DEFAULT_BUDGET, _segments_triple, find_reduced_bundle
+from .bundles import _segments_triple, find_reduced_bundle
 from .connectivity import fan, max_disjoint_paths, vertex_connectivity
 from .errors import Budget, BudgetExhausted
 from .graphs import Edge, Graph, cartesian_product, flat_id
@@ -133,21 +135,31 @@ def _gpath(p: Sequence[int], v: int, m: int) -> set[Edge]:
 
 
 def _fiber(copy, f: Graph, x: int, m: int, exclude: Iterable[int] = ()) -> set[Edge]:
-    """Factor f minus `exclude`, copied edge by edge with `copy`: _gpath
-    for layer x (f = G), _hpath for the fiber of column x (f = H)."""
+    """Factor f (or a tree in it) minus `exclude`, copied edge by edge with
+    `copy`: _gpath for layer x (f in G), _hpath for the fiber of column x
+    (f in H)."""
     ex = set(exclude)
     return {e for a, b in f.edges if a not in ex and b not in ex for e in copy((a, b), x, m)}
 
 
+def _star(along, across, f: Graph, y: int, x: int, homes, m: int, exclude=()) -> set[Edge]:
+    """Factor f minus `exclude` copied at x, plus the rung y-x at each home:
+    the piece every S-tree of Lemmas 3.1-3.4 and 4.1 is built from.
+    `along` copies the rungs' factor, `across` copies f."""
+    es = _fiber(across, f, x, m, exclude)
+    for home in homes:
+        es |= along((y, x), home, m)
+    return es
+
+
 def _rung_tree(along, across, f: Graph, p, homes, fans, m: int, exclude=()) -> set[Edge]:
-    """Lemma 3.1's tree: path p minus its end at homes[0], factor f minus
-    `exclude` copied at x = p[-2], the rung p[-1]-x at homes[1] and the fan
-    path fans[x] at homes[2].  `along` copies p's factor, `across` copies f."""
+    """Lemma 3.1's tree: path p minus its end at homes[0], the star of f
+    minus `exclude` at x = p[-2] with its rung from p[-1] at homes[1], and
+    the fan path fans[x] at homes[2]."""
     x = p[-2]
     return (
         along(p[:-1], homes[0], m)
-        | _fiber(across, f, x, m, exclude)
-        | along((p[-1], x), homes[1], m)
+        | _star(along, across, f, p[-1], x, homes[1:2], m, exclude)
         | along(fans[x], homes[2], m)
     )
 
@@ -423,7 +435,7 @@ def construct_lemma32(
 
 def _h_opening(
     h: Graph, v1: int, v2: int, l: int
-) -> Optional[tuple[list[list[int]], list[int], set[int]]]:
+) -> Optional[tuple[list[list[int]], set[int]]]:
     """Lemmas 3.2 and 3.3 open alike: l disjoint v1-v2 paths in H, direct edge
     last, and X, the second vertices of the first l - 1, with v2 outside X
     and H - X connected; None when that fails."""
@@ -431,36 +443,32 @@ def _h_opening(
     if len(hp) < l:
         return None
     hp = [p for p in hp if len(p) > 2] + [p for p in hp if len(p) == 2]
-    seconds = [p[1] for p in hp[: l - 1]]
-    x_set = set(seconds)
+    x_set = {p[1] for p in hp[: l - 1]}
     if v2 in x_set or not h.is_connected(avoid=frozenset(x_set)):
         return None
-    return hp, seconds, x_set
+    return hp, x_set
 
 
 def _lemma32_build(g, h, u1, u2, v1, v2, m, k, l) -> Optional[list[set[Edge]]]:
     opening = _h_opening(h, v1, v2, l)
     if opening is None:
         return None
-    hp, seconds, x_set = opening
-    trees: list[set[Edge]] = []
-    for j in range(l - 1):
-        trees.append(
-            _hpath(hp[j], u1, m)
-            | _fiber(_gpath, g, seconds[j], m)
-            | _hpath((v1, seconds[j]), u2, m)
-        )
+    hp, x_set = opening
     gp = max_disjoint_paths(g, u1, u2, need=k)
     if len(gp) < k:
         return None
     gp = [q for q in gp if len(q) > 2] + [q for q in gp if len(q) == 2]
-    for j in range(k - 1):
-        sec = gp[j][1]
-        trees.append(
-            _gpath(gp[j], v1, m)
-            | _fiber(_hpath, h, sec, m, x_set)
-            | _gpath((u1, sec), v2, m)
-        )
+    # every tree but the last: a path joining two terminals at home, and the
+    # star at the path's second vertex, whose rung reaches the third terminal
+    trees: list[set[Edge]] = []
+    for ps, along, across, f, home, rung_home, exclude in (
+        (hp[: l - 1], _hpath, _gpath, g, u1, u2, ()),
+        (gp[: k - 1], _gpath, _hpath, h, v1, v2, x_set),
+    ):
+        trees += [
+            along(p, home, m) | _star(along, across, f, p[0], p[1], (rung_home,), m, exclude)
+            for p in ps
+        ]
     trees.append(_hpath(hp[l - 1], u1, m) | _gpath(gp[k - 1], v1, m))
     return trees
 
@@ -499,15 +507,11 @@ def _lemma33_build(cg, ch, k, l, u1, u2, u3, v1, v2) -> Optional[list[set[Edge]]
     opening = _h_opening(ch, v1, v2, l)
     if opening is None:
         return None
-    hp, seconds, x_set = opening
-    trees: list[set[Edge]] = []
-    for j in range(l - 1):
-        trees.append(
-            _hpath((v1, seconds[j]), u1, m)
-            | _hpath((v1, seconds[j]), u2, m)
-            | _fiber(_gpath, cg, seconds[j], m)
-            | _hpath(hp[j][1:], u3, m)
-        )
+    hp, x_set = opening
+    trees = [
+        _star(_hpath, _gpath, cg, v1, p[1], (u1, u2), m) | _hpath(p[1:], u3, m)
+        for p in hp[: l - 1]
+    ]
     gp = max_disjoint_paths(cg, u1, u2, need=k)
     if len(gp) < k:
         return None
@@ -550,14 +554,8 @@ def construct_lemma34(
     m = h.n
     claimed = factor_kappa3(g, budget) + h.min_degree()
     _, gbundle = max_internally_disjoint_trees(g, us, budget)
-    trees: list[set[Edge]] = []
-    for t in gbundle.trees:
-        trees.append({_e(flat_id(a, v1, m), flat_id(b, v1, m)) for a, b in t.edges})
-    for nb in h.neighbors(v1):
-        star = _fiber(_gpath, g, nb, m)
-        for u in us:
-            star |= _hpath((v1, nb), u, m)
-        trees.append(star)
+    trees = [_fiber(_gpath, t, v1, m) for t in gbundle.trees]
+    trees += [_star(_hpath, _gpath, g, v1, nb, us, m) for nb in h.neighbors(v1)]
     return _finish(g, h, s, trees, "3.4", claimed, budget)
 
 
@@ -624,11 +622,8 @@ def construct_lemma41(
     n_conn = l - 2 * t
     tail = free[n_conn:]
 
-    def star(nb: int) -> set[Edge]:
-        es = _fiber(_hpath, h, nb, m)
-        for v in (v1, v2, v3):
-            es |= _gpath((u1, nb), v, m)
-        return es
+    def stars(nbs: list[int]) -> list[set[Edge]]:
+        return [_star(_gpath, _hpath, h, u1, nb, (v1, v2, v3), m) for nb in nbs]
 
     def split(p: list[int]) -> tuple[list[int], list[int]]:
         i = p.index(v3)
@@ -655,8 +650,7 @@ def construct_lemma41(
             if len(tail) < 2:
                 return _fallback(g, h, s, claimed, budget)
             trees += braid(through[0], through[1], tail[1], tail[0])
-        for nb in nbrs:
-            trees.append(star(nb))
+        trees += stars(nbrs)
         return _finish(g, h, s, trees, f"4.1/t={t}", claimed, budget)
 
     # t >= 3: route three trees per neighbor through a cycle in H minus
@@ -676,7 +670,7 @@ def construct_lemma41(
     n_groups = t - 2 if delta1 >= t - 2 else delta1
     if len(othrough) - len(shorts) < n_groups or len(otail) < t:
         return _fallback(g, h, s, claimed, budget)
-    sbudget = budget if budget is not None else Budget(DEFAULT_BUDGET)
+    sbudget = budget if budget is not None else Budget()
     for j in range(1, n_groups + 1):
         built = _lemma41_group(
             h, othrough[j - 1], otail[t - j], v1, v2, v3, u1, nbrs[j - 1], m, sbudget
@@ -687,8 +681,7 @@ def construct_lemma41(
 
     if delta1 >= t - 2:
         trees += braid(othrough[t - 2], othrough[t - 1], otail[1], otail[0])
-        for nb in nbrs[t - 2:]:
-            trees.append(star(nb))
+        trees += stars(nbrs[t - 2:])
     else:
         left = list(range(delta1, t))  # through-path indices not yet used
         while len(left) >= 2:
@@ -748,29 +741,17 @@ def _lemma41_group(
                 if segs is None:
                     continue
                 sa, sb, sc = ([old[x] for x in p] for p in segs)
-                cross = lambda v: _gpath((u1, uj), v, m)
-                tree_a = (
-                    _hpath(p12, u1, m)
-                    | cross(v1)
-                    | _hpath((v1, a2), uj, m)
-                    | _hpath(sa, uj, m)
-                    | cross(land3)
-                )
-                tree_b = (
-                    _hpath(p_free, u1, m)
-                    | cross(v3)
-                    | _hpath((v3, a4), uj, m)
-                    | _hpath(sb, uj, m)
-                    | cross(land5)
-                )
-                tree_c = (
-                    _hpath(p11, u1, m)
-                    | cross(v2)
-                    | _hpath((v2, a6), uj, m)
-                    | _hpath(sc, uj, m)
-                    | cross(land1)
-                )
-                return [tree_a, tree_b, tree_c]
+                return [
+                    _hpath(piece, u1, m)
+                    | _gpath((u1, uj), drop, m)
+                    | _hpath([drop] + seg, uj, m)
+                    | _gpath((u1, uj), land, m)
+                    for piece, drop, seg, land in (
+                        (p12, v1, sa, land3),
+                        (p_free, v3, sb, land5),
+                        (p11, v2, sc, land1),
+                    )
+                ]
     return None
 
 

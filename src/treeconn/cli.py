@@ -65,7 +65,7 @@ def certificate_document(cert: Certificate) -> dict:
         "provenance": cert.provenance,
         "claimed_bound": cert.claimed_bound,
         "trees": [
-            [list(e) for e in t.sorted_edges()] for t in cert.bundle.trees
+            [list(e) for e in sorted(t.edges)] for t in cert.bundle.trees
         ],
     }
 

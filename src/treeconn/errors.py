@@ -24,7 +24,7 @@ class Budget:
     cap is hit.
     """
 
-    def __init__(self, limit: int = 10**7):
+    def __init__(self, limit: int = 10**8):
         self.limit = limit
         self.used = 0
 

@@ -25,9 +25,6 @@ from .connectivity import max_disjoint_paths, path_edges, simple_paths
 from .errors import Budget
 from .graphs import Edge, Graph
 
-DEFAULT_PACK_BUDGET = 10**8
-
-
 @dataclass(frozen=True)
 class STree:
     """A tree whose vertex set contains the terminal set."""
@@ -37,9 +34,6 @@ class STree:
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(v for e in self.edges for v in e)
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
 
 
 @dataclass(frozen=True)
@@ -114,7 +108,7 @@ def iter_minimal_s_trees(
     so no tree is produced twice.
     """
     if budget is None:
-        budget = Budget(DEFAULT_PACK_BUDGET)
+        budget = Budget()
     terms = sorted(set(s))
     if len(terms) < 2:
         raise ValueError("need at least two terminals")
@@ -168,7 +162,7 @@ def pack_trees(
 ) -> Optional[STreeBundle]:
     """r pairwise internally disjoint S-trees, or None after exhaustion."""
     if budget is None:
-        budget = Budget(DEFAULT_PACK_BUDGET)
+        budget = Budget()
     terms = tuple(sorted(set(s)))
     if r < 1:
         raise ValueError("r must be positive")
@@ -227,7 +221,7 @@ def pack_trees(
         for tree in _iter_trees(
             g, list(terms), frozenset(banned_v), frozenset(banned_e), budget
         ):
-            key = tree.sorted_edges()
+            key = sorted(tree.edges)
             if prev_key is not None and key <= prev_key:
                 continue
             internals = set(tree.vertices) - sset
@@ -259,7 +253,7 @@ def max_internally_disjoint_trees(
     """Exact kappa(S) with a witness bundle (search from the upper bound
     downward)."""
     if budget is None:
-        budget = Budget(DEFAULT_PACK_BUDGET)
+        budget = Budget()
     terms = tuple(sorted(set(s)))
     if len(terms) < 2:
         raise ValueError("need at least two terminals")
@@ -293,7 +287,7 @@ def automorphism_generators(
     One budget tick per search node.
     """
     if budget is None:
-        budget = Budget(DEFAULT_PACK_BUDGET)
+        budget = Budget()
     dist = [_distances(g, v) for v in range(g.n)]
     gens: list[tuple[int, ...]] = []
     for i in range(g.n - 2, -1, -1):
@@ -428,7 +422,7 @@ def kappa_k(
     if not 2 <= k <= g.n:
         raise ValueError("need 2 <= k <= n")
     if budget is None:
-        budget = Budget(DEFAULT_PACK_BUDGET)
+        budget = Budget()
     if not g.is_connected():
         raise ValueError("graph must be connected")
     best_s = tuple(range(k))

@@ -365,17 +365,32 @@ def test_construction_bytes_pinned(monkeypatch):
     def exhausted(*args, **kwargs):
         raise BudgetExhausted("search budget of 0 expansions exhausted")
 
+    def digest_of(certs):
+        digest = hashlib.sha256()
+        for cert in certs:
+            digest.update(dump_document(certificate_document(cert)).encode())
+        return digest.hexdigest()
+
+    # both factors of K4 box K3,3 have kappa 3, so the multi-tree loops of
+    # 3.1/1.2, 3.2, 3.3 and 3.4 run twice, where the grid below runs each
+    # at most once
+    g, h = complete(4), complete_bipartite(3, 3)
+    wide = [certify(g, h, s) for s in combinations(range(g.n * h.n), 3)]
+    assert {c.provenance for c in wide} == {
+        "3.1/1.2", "3.2", "3.3", "3.4", "4.1/t=0", "4.1/t=1",
+    }
+    assert digest_of(wide) == (
+        "eb81e3143f80a70203671569151d1917638c03f88512b8c05df68916d3c4e01e"
+    )
+
     certs = list(_pinned_certificates())
     monkeypatch.setattr(certificates, "find_reduced_bundle", exhausted)
     certs.append(certify(*_same_h_fiber_case()))
-    digest = hashlib.sha256()
-    for cert in certs:
-        digest.update(dump_document(certificate_document(cert)).encode())
     assert {c.provenance for c in certs} == {
         "3.1/1.1", "3.1/1.2", "3.1/2", "3.2", "3.3", "3.4",
         "4.1/t=0", "4.1/t=1", "4.1/t=2", "4.1/case2.1", "search-fallback",
     }
-    assert digest.hexdigest() == (
+    assert digest_of(certs) == (
         "208dc871f3319e939ea1c0106fbe9e036228ef3adc53300a4e930fe871ab4ba0"
     )
 
