@@ -8,7 +8,11 @@ lazily in the residual graph, their paths by `connectivity.simple_paths`;
 partial packings are pruned by terminal degrees, by counting the free
 edges at S (a tree on S alone has |S|-1 edges inside S, any other tree at
 least |S| edges at S, since its non-terminals span a forest), and by
-pairwise flows in which the trees' paths may share terminals.
+pairwise flows in which the trees' paths may share terminals.  Where only
+a yes is needed (`kappa_k`'s skip test), a deterministic greedy packer
+(`_greedy_pack`: each tree a union of BFS paths from its cheapest centre)
+answers first, and the exhaustive search runs only when it fails; every
+bundle that is returned comes from the exhaustive search.
 
 `verify_bundle` is the one checker of a packing.  It sees the graph only
 through an edge test, so a certificate is checked against G box H by
@@ -244,6 +248,75 @@ def pack_trees(
     return bundle
 
 
+def _greedy_pack(
+    g: Graph, s: Sequence[int], r: int, budget: Budget
+) -> Optional[STreeBundle]:
+    """r internally disjoint S-trees placed one at a time, or None (which
+    proves nothing).
+
+    For each tree, every vertex c not yet a non-terminal of a placed tree
+    is tried as the centre: a BFS from c, in ascending adjacency order,
+    over the unused edges and unused non-terminals (terminals may be passed
+    through) stops once S is reached, and the union of the BFS-parent
+    paths from S back to c, non-terminal leaves trimmed, is the candidate.
+    The candidate with the fewest edges (so the fewest non-terminals), then
+    the least c, is placed.  One budget tick per BFS node expanded."""
+    terms = tuple(sorted(set(s)))
+    sset = frozenset(terms)
+    used_v: set[int] = set()
+    used_e: set[Edge] = set()
+    trees: list[STree] = []
+    for _ in range(r):
+        best: Optional[list[Edge]] = None
+        for c in range(g.n):
+            if c in used_v:
+                continue
+            parent = {c: c}
+            queue = [c]
+            missing = len(sset - {c})
+            for x in queue:
+                if not missing:
+                    break
+                budget.tick()
+                for y in g.neighbors(x):
+                    if y in parent or y in used_v:
+                        continue
+                    if ((x, y) if x < y else (y, x)) in used_e:
+                        continue
+                    parent[y] = x
+                    queue.append(y)
+                    missing -= y in sset
+            if missing:
+                continue
+            tree = {c}
+            edges: list[Edge] = []
+            for x in terms:
+                while x not in tree:
+                    tree.add(x)
+                    y = parent[x]
+                    edges.append((x, y) if x < y else (y, x))
+                    x = y
+            # every leaf but c is a terminal; trim from c down
+            x = c
+            while x not in sset and sum(x in e for e in edges) == 1:
+                e = next(e for e in edges if x in e)
+                edges.remove(e)
+                x = e[0] + e[1] - x
+            if best is None or len(edges) < len(best):
+                best = edges
+                if len(edges) == len(terms) - 1:
+                    break  # a tree on S alone: no candidate is cheaper
+        if best is None:
+            return None
+        used_e.update(best)
+        used_v.update(v for e in best for v in e if v not in sset)
+        trees.append(STree(frozenset(best)))
+    bundle = STreeBundle(terms, tuple(trees))
+    err = verify_bundle(g.has_edge, bundle)
+    assert err is None, f"internal error: greedy bundle invalid: {err}"
+    return bundle
+
+
 def max_internally_disjoint_trees(
     g: Graph,
     s: Sequence[int],
@@ -412,12 +485,15 @@ def kappa_k(
     """min over k-subsets of kappa(S); returns (value, witness S, bundle).
 
     The least subset 0..k-1 is evaluated first; if its kappa is 1 it is the
-    answer, and no automorphism is searched for.  Later subsets already
-    known to meet the current minimum are skipped via a single packing
-    decision instead of a full evaluation.  With `use_symmetry`, only the
-    least k-subset of each Aut(g)-orbit is evaluated; the result is the
-    same, because the least subset attaining the minimum is the least of
-    its orbit and `pack_trees` depends only on (g, S, r).
+    answer, and no automorphism is searched for.  A later subset is
+    skipped when it still admits as many trees as the current minimum: the
+    greedy packer decides that first, and `pack_trees` only when the greedy
+    packer fails.  Only a subset below the minimum gets a full evaluation,
+    so the returned bundle is always the exhaustive search's.  With
+    `use_symmetry`, only the least k-subset of each Aut(g)-orbit is
+    evaluated; the result is the same, because the least subset attaining
+    the minimum is the least of its orbit and the skip test answers
+    exactly whether kappa(S) reaches the current minimum.
     """
     if not 2 <= k <= g.n:
         raise ValueError("need 2 <= k <= n")
@@ -438,7 +514,10 @@ def kappa_k(
     for sub in islice(subsets, 1, None):
         if best == 1:
             break
-        if pack_trees(g, sub, best, budget) is None:
+        if (
+            _greedy_pack(g, sub, best, budget) is None
+            and pack_trees(g, sub, best, budget) is None
+        ):
             best, best_bundle = max_internally_disjoint_trees(
                 g, sub, budget, upper=best - 1
             )

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -17,6 +18,7 @@ from treeconn.graphs import (
     complete_bipartite,
     complete_tripartite,
     cycle,
+    join_complete_empty2,
     path,
 )
 from treeconn.packing import (
@@ -265,6 +267,47 @@ def test_max_trees_match_brute_force_on_all_small_graphs():
                 ), (g.edges, s)
 
 
+def test_greedy_pack_is_sound_on_all_small_graphs():
+    # every 3-set and 4-set of every connected labelled graph on 3-5
+    # vertices, every r up to the least terminal degree: None, or r trees
+    # that verify_bundle accepts and the brute-force maximum allows
+    decided = 0
+    for g in _connected_graphs_up_to_5():
+        for k in (3, 4):
+            for s in combinations(range(g.n), k):
+                top = 0
+                for r in range(1, min(g.degree(t) for t in s) + 1):
+                    bundle = packing._greedy_pack(g, s, r, Budget())
+                    if bundle is not None:
+                        assert bundle.s == s and len(bundle) == r
+                        assert verify_bundle(g.has_edge, bundle) is None
+                        top = r
+                        decided += 1
+                if top:
+                    assert _brute_max_packing(g, s) >= top, (g.edges, s)
+    assert decided > 0
+
+
+def test_greedy_pack_ticks_the_budget(monkeypatch):
+    with pytest.raises(BudgetExhausted):
+        packing._greedy_pack(complete(4), (0, 1, 2), 1, Budget(0))
+    # inside kappa_k the greedy packer ticks the caller's budget: a limit
+    # of the ticks spent before the first skip test runs out in it
+    entered = []
+    real = packing._greedy_pack
+
+    def recording(g, s, r, budget):
+        entered.append(budget.used)
+        return real(g, s, r, budget)
+
+    monkeypatch.setattr(packing, "_greedy_pack", recording)
+    g = complete_bipartite(3, 4)
+    kappa_k(g, 3)
+    with pytest.raises(BudgetExhausted):
+        kappa_k(g, 3, Budget(entered[0]))
+    assert entered[-1] == entered[0]
+
+
 def _graphs_meeting_adjacent_min_degree():
     yield from _connected_graphs_up_to_5()
     # a seeded sample of 6-vertex graphs (all 26,704 connected labelled
@@ -427,3 +470,42 @@ def test_kappa3_invariant_under_relabeling(perm):
     g = complete_bipartite(2, 3)
     relabeled = Graph(5, [(perm[a], perm[b]) for a, b in g.edges])
     assert kappa3(relabeled) == 2
+
+
+def _pinned_kappa_k_graphs():
+    """The nine kappa3-exact bench families under three seeded relabelings
+    each, then the acceptance-grid products with n <= 12, each unordered
+    pair of grid factors once."""
+    families = [
+        complete(6), complete(7), complete_bipartite(3, 4),
+        complete_bipartite(4, 4), complete_tripartite(2, 2, 2),
+        complete_tripartite(2, 2, 3), complete_tripartite(1, 2, 4),
+        complete_tripartite(2, 3, 3), cartesian_product(complete(3), complete(3)),
+    ]
+    rng = random.Random(12)
+    for g in families:
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            yield Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+    grid = [path(2), path(3), cycle(3), cycle(4), cycle(5), complete(3),
+            complete(4), complete(5), complete_bipartite(2, 3),
+            complete_bipartite(3, 3), join_complete_empty2(2)]
+    for i, g in enumerate(grid):
+        for h in grid[i:]:
+            if g.n * h.n <= 12:
+                yield cartesian_product(g, h)
+
+
+def test_kappa_k_triples_pinned():
+    # (value, witness, bundle) of the orbit-pruned kappa_k, recorded before
+    # the greedy packer joined the skip test: the greedy packer only decides
+    # skips, so every returned bundle is still the exhaustive search's.
+    digest = hashlib.sha256()
+    for g in _pinned_kappa_k_graphs():
+        value, witness, bundle = kappa_k(g, 3, use_symmetry=True)
+        trees = [sorted(t.edges) for t in bundle.trees]
+        digest.update(repr((g.n, value, witness, trees)).encode())
+    assert digest.hexdigest() == (
+        "81f6e40a9e714df4d42879a5b6f1418add48419ec00be65e708641d4a75c2ff3"
+    )
