@@ -6,7 +6,7 @@ applicable lower bound, then re-verify the family structurally.
 """
 
 from treeconn.certificates import certify, classify_position
-from treeconn.graphs import cartesian_product, complete, cycle, flat_id, unflat_id
+from treeconn.graphs import cartesian_product, complete, cycle, flat_id
 
 g, h = complete(4), cycle(4)
 prod = cartesian_product(g, h)
@@ -32,7 +32,7 @@ for pairs in positions:
           f"S-trees, so kappa(S) >= {cert.claimed_bound}")
     tree = cert.bundle.trees[0]
     rendered = [
-        f"{unflat_id(a, h.n)}-{unflat_id(b, h.n)}" for a, b in sorted(tree.edges)
+        f"{divmod(a, h.n)}-{divmod(b, h.n)}" for a, b in sorted(tree.edges)
     ]
     print(f"  first tree: {', '.join(rendered)}")
     print()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .connectivity import (
     check_path,
@@ -160,78 +160,49 @@ def _search_bundle(
     if t > k // 2 or t < 0:
         return None
 
-    def choose_through(
-        through: list[list[int]], used: set[int], used_edges: set[tuple[int, int]]
-    ) -> Optional[ReducedPathBundle]:
-        if len(through) == t:
-            return choose_free(through, [], used, used_edges)
-        need, avoid = k - t, frozenset(used | {u3})
-        if len(max_disjoint_paths(g, u1, u2, need, avoid)) < need:
-            return None
+    def candidates(i: int, used: set[int]) -> Iterator[list[int]]:
+        """Path i: u1-u3-u2 concatenations while i < t, then u3-free paths."""
         banned = frozenset(used | {u1, u2})
-        prev = tuple(through[-1]) if through else None
+        if i >= t:
+            yield from simple_paths(g, u1, frozenset({u2}), banned | {u3}, budget)
+            return
         for p1 in simple_paths(g, u1, frozenset({u3}), banned, budget):
-            inner1 = set(p1[1:-1])
-            for p2 in simple_paths(
-                g, u3, frozenset({u2}), banned | frozenset(inner1), budget
-            ):
-                p = p1 + p2[1:]
-                if prev is not None and tuple(p) <= prev:
-                    continue  # enforce ascending order to kill permutations
-                pedges = set(path_edges(p))
-                if pedges & used_edges:
-                    continue
-                res = choose_through(
-                    through + [p],
-                    used | set(p[1:-1]) - {u3},
-                    used_edges | pedges,
-                )
-                if res is not None:
-                    return res
-        return None
+            for p2 in simple_paths(g, u3, frozenset({u2}), banned | set(p1[1:-1]), budget):
+                yield p1 + p2[1:]
 
-    def choose_free(
-        through: list[list[int]],
-        free: list[list[int]],
-        used: set[int],
-        used_edges: set[tuple[int, int]],
+    def choose(
+        paths: list[list[int]], used: set[int], used_edges: set[tuple[int, int]]
     ) -> Optional[ReducedPathBundle]:
-        if len(free) == k - t:
-            return choose_connectors(through, free, used)
-        need, avoid = k - t - len(free), frozenset(used | {u3})
+        i = len(paths)
+        if i == k:
+            return choose_connectors(paths, used_edges)
+        need, avoid = k - max(i, t), frozenset(used | {u3})
         if len(max_disjoint_paths(g, u1, u2, need, avoid)) < need:
             return None
-        banned = frozenset(used | {u1, u2, u3})
-        prev = tuple(free[-1]) if free else None
-        for p in simple_paths(g, u1, frozenset({u2}), banned, budget):
+        # ascending order within the through and the free paths kills
+        # permutations
+        prev = tuple(paths[-1]) if i not in (0, t) else None
+        for p in candidates(i, used):
             if prev is not None and tuple(p) <= prev:
                 continue
             pedges = set(path_edges(p))
             if pedges & used_edges:
                 continue
-            res = choose_free(
-                through, free + [p], used | set(p[1:-1]), used_edges | pedges
-            )
+            res = choose(paths + [p], used | set(p[1:-1]) - {u3}, used_edges | pedges)
             if res is not None:
                 return res
         return None
 
     def choose_connectors(
-        through: list[list[int]], free: list[list[int]], used: set[int]
+        paths: list[list[int]], path_edge_set: set[tuple[int, int]]
     ) -> Optional[ReducedPathBundle]:
+        through, free = paths[:t], paths[t:]
         n_conn = k - 2 * t
-        x_all = set().union(*(set(p) for p in free)) if free else set()
-        through_internal = set()
-        for p in through:
-            through_internal |= set(p[1:-1])
-        through_internal -= {u3}
-        path_edge_set = set()
-        for p in through + free:
-            path_edge_set.update(path_edges(p))
         if n_conn == 0:
-            base = OriginalPathBundle(u1, u2, u3, t, tuple(tuple(p) for p in through + free))
+            base = OriginalPathBundle(u1, u2, u3, t, tuple(map(tuple, paths)))
             return ReducedPathBundle(base, ())
-
+        x_all = set().union(*free)
+        through_internal = set().union(*(p[1:-1] for p in through)) - {u3}
         for lead in permutations(range(len(free)), n_conn):
             budget.tick()
             tail = [i for i in range(len(free)) if i not in lead]
@@ -246,7 +217,7 @@ def _search_bundle(
                 return ReducedPathBundle(base, tuple(tuple(c) for c in conns))
         return None
 
-    return choose_through([], set(), set())
+    return choose([], set(), set())
 
 
 def _assign_connectors(

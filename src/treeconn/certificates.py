@@ -15,8 +15,10 @@ by orbit pruning), and every search it runs ticks the caller's `Budget`
 (with None, a default `Budget()`).  Each tree shape is built in one place:
 `_star` builds the piece under every construction, one factor copied into a
 fiber and joined to S by rungs along the other factor; `_rung_tree` builds
-Lemma 3.1's path-fiber-rung-fan tree in both cases and orientations; one
-local helper builds Lemma 4.1's three-tree braid.
+Lemma 3.1's path-fiber-rung-fan tree in cases 1 and 2; one local helper
+builds Lemma 4.1's three-tree braid.  Every construction writes G box H
+flat ids directly through the two path copiers `_hpath` and `_gpath`; where
+the factors' roles are exchanged (`_orientations`), the copiers swap.
 
 Tree pieces live in flat product ids: (u, v) -> u * |V(H)| + v.
 """
@@ -31,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 from .bundles import _segments_triple, find_reduced_bundle
 from .connectivity import fan, max_disjoint_paths, vertex_connectivity
 from .errors import Budget, BudgetExhausted
-from .graphs import Edge, Graph, cartesian_product, flat_id
+from .graphs import Edge, Graph, cartesian_product, flat_id, norm_edge
 from .packing import (
     STree,
     STreeBundle,
@@ -120,18 +122,14 @@ class Certificate:
 # -- flat-id edge assembly helpers ----------------------------------------
 
 
-def _e(a: int, b: int) -> Edge:
-    return (a, b) if a < b else (b, a)
-
-
 def _hpath(p: Sequence[int], u: int, m: int) -> set[Edge]:
     """An H-path copied into the fiber of column u."""
-    return {_e(flat_id(u, a, m), flat_id(u, b, m)) for a, b in zip(p, p[1:])}
+    return {norm_edge(flat_id(u, a, m), flat_id(u, b, m)) for a, b in zip(p, p[1:])}
 
 
 def _gpath(p: Sequence[int], v: int, m: int) -> set[Edge]:
     """A G-path copied into layer v."""
-    return {_e(flat_id(a, v, m), flat_id(b, v, m)) for a, b in zip(p, p[1:])}
+    return {norm_edge(flat_id(a, v, m), flat_id(b, v, m)) for a, b in zip(p, p[1:])}
 
 
 def _fiber(copy, f: Graph, x: int, m: int, exclude: Iterable[int] = ()) -> set[Edge]:
@@ -164,14 +162,17 @@ def _rung_tree(along, across, f: Graph, p, homes, fans, m: int, exclude=()) -> s
     )
 
 
-def _transpose_tree(edges: Iterable[Edge], gn: int, hn: int) -> set[Edge]:
-    """Map edges of H box G (flat over |V(G)|) into G box H flat ids."""
-
-    def tv(x: int) -> int:
-        vh, ug = divmod(x, gn)
-        return ug * hn + vh
-
-    return {_e(tv(a), tv(b)) for a, b in edges}
+def _orientations(
+    g: Graph, h: Graph, kg: int, kh: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[tuple, tuple]:
+    """The two ways to read G box H: as (G, H) and with the roles exchanged.
+    Each entry is (G', H', kappa(G'), kappa(H'), S as (u', v') pairs, the
+    copier of an H'-path into a G'-column's fiber, the copier of a G'-path
+    into an H'-layer); the copiers write G box H flat ids either way."""
+    return (
+        (g, h, kg, kh, pairs, _hpath, _gpath),
+        (h, g, kh, kg, [(v, u) for u, v in pairs], _gpath, _hpath),
+    )
 
 
 def _materialize(edges: set[Edge], terminals: set[int]) -> Optional[STree]:
@@ -198,8 +199,8 @@ def _materialize(edges: set[Edge], terminals: set[int]) -> Optional[STree]:
         return None
     tree: set[Edge] = set()
     for t in terminals:
-        while t != root and _e(t, parent[t]) not in tree:
-            tree.add(_e(t, parent[t]))
+        while t != root and norm_edge(t, parent[t]) not in tree:
+            tree.add(norm_edge(t, parent[t]))
             t = parent[t]
     return STree(frozenset(tree)) if tree else None
 
@@ -264,41 +265,28 @@ def construct_lemma31(
     if tri_g and tri_h:
         trees = _lemma31_case2(g, h, pairs, kg, kh, budget)
         return _finish(g, h, s, trees, "3.1/2", claimed, budget)
-    for swap in (False, True):
-        cg, ch = (h, g) if swap else (g, h)
-        k, l = (kh, kg) if swap else (kg, kh)
-        cpairs = [(v, u) for u, v in pairs] if swap else list(pairs)
+    for cg, ch, k, l, cpairs, hpath, gpath in _orientations(g, h, kg, kh, pairs):
         if k < 2:
             continue
         for perm in permutations(range(3)):
-            roles = [cpairs[i] for i in perm]
-            (u1, v1), (u2, v2), (u3, v3) = roles
+            (u1, v1), (u2, v2), (u3, v3) = [cpairs[i] for i in perm]
             if ch.has_edge(v1, v2):
                 continue
-            built = _lemma31_case1(cg, ch, k, l, u1, u2, u3, v1, v2, v3)
+            built = _lemma31_case1(cg, ch, k, l, u1, u2, u3, v1, v2, v3, hpath, gpath, h.n)
             if built is not None:
                 trees, tag = built
-                if swap:
-                    trees = [_transpose_tree(t, g.n, h.n) for t in trees]
                 return _finish(g, h, s, trees, tag, claimed, budget)
     return _fallback(g, h, s, claimed, budget)
 
 
 def _lemma31_case1(
-    cg: Graph,
-    ch: Graph,
-    k: int,
-    l: int,
-    u1: int,
-    u2: int,
-    u3: int,
-    v1: int,
-    v2: int,
-    v3: int,
+    cg: Graph, ch: Graph, k: int, l: int, u1: int, u2: int, u3: int,
+    v1: int, v2: int, v3: int, hpath, gpath, m: int,
 ) -> Optional[tuple[list[set[Edge]], str]]:
+    """Lemma 3.1 case 1 in the orientation (cg, ch): `hpath` and `gpath`
+    copy ch- and cg-paths into G box H flat ids (see `_orientations`)."""
     if l < 1:
         return None
-    m = ch.n
     paths = max_disjoint_paths(ch, v1, v2, need=l)
     if len(paths) < l:
         return None
@@ -318,7 +306,7 @@ def _lemma31_case1(
     if fan_h is None:
         return None
     hq = {p[-1]: p for p in fan_h.paths}
-    trees = [_rung_tree(_hpath, _gpath, cg, p, (u1, u2, u3), hq, m) for p in hp[: l - 1]]
+    trees = [_rung_tree(hpath, gpath, cg, p, (u1, u2, u3), hq, m) for p in hp[: l - 1]]
 
     gp = max_disjoint_paths(cg, u1, u2, need=k)
     if len(gp) < k:
@@ -345,17 +333,17 @@ def _lemma31_case1(
     if fan_g is None:
         return None
     sp = {p[-1]: p for p in fan_g.paths}
-    trees += [_rung_tree(_gpath, _hpath, ch, gq[j], (v1, v2, v3), sp, m, x_set) for j in idx]
+    trees += [_rung_tree(gpath, hpath, ch, gq[j], (v1, v2, v3), sp, m, x_set) for j in idx]
     trees.append(  # the tree through u2
-        _gpath(gq[k - 2], v1, m) | _fiber(_hpath, ch, u2, m, x_set) | _gpath(sp[u2], v3, m)
+        gpath(gq[k - 2], v1, m) | _fiber(hpath, ch, u2, m, x_set) | gpath(sp[u2], v3, m)
     )
     if not case12:
         return trees, "3.1/1.1"
     trees.append(  # the mixed tree through (u3, v1) and (u1, v2)
-        _hpath(hq[v1], u3, m)
-        | _gpath(gq[k - 1][:-1], v1, m)
-        | _hpath(hp[l - 1], u1, m)
-        | _gpath(gq[k - 2], v2, m)
+        hpath(hq[v1], u3, m)
+        | gpath(gq[k - 1][:-1], v1, m)
+        | hpath(hp[l - 1], u1, m)
+        | gpath(gq[k - 2], v2, m)
     )
     return trees, "3.1/1.2"
 
@@ -379,7 +367,7 @@ def _lemma31_case2(
     if packed is None:
         return None
     trees: list[set[Edge]] = [
-        {_e(grid[a], grid[b]) for a, b in t.edges} for t in packed.trees
+        {norm_edge(grid[a], grid[b]) for a, b in t.edges} for t in packed.trees
     ]
 
     # the H pass threads l - 2 trees through G-layers; the G pass threads
@@ -392,7 +380,7 @@ def _lemma31_case2(
         if r < 3:
             continue
         a1, a2, a3 = ends
-        f2 = Graph(f.n, f.edges - {_e(a1, a2)})
+        f2 = Graph(f.n, f.edges - {norm_edge(a1, a2)})
         ps = max_disjoint_paths(f2, a1, a2, need=r - 2, avoid=frozenset({a3}))[: r - 2]
         if len(ps) < r - 2:
             return None
@@ -485,31 +473,28 @@ def construct_lemma33(
         raise ValueError("S must have exactly one shared coordinate")
     kg, kh = vertex_connectivity(g), vertex_connectivity(h)
     claimed = kg + kh - 1
-    cg, ch = (h, g) if pos.swap else (g, h)
-    k, l = (kh, kg) if pos.swap else (kg, kh)
-    cpairs = [(v, u) for u, v in pos.pairs] if pos.swap else list(pos.pairs)
+    cg, ch, k, l, cpairs, hpath, gpath = _orientations(g, h, kg, kh, pos.pairs)[pos.swap]
     vs = [v for _, v in cpairs]
     v1 = max(set(vs), key=vs.count)
     v2 = next(v for v in vs if v != v1)
     shared = sorted(u for u, v in cpairs if v == v1)
     (u3,) = [u for u, v in cpairs if v == v2]
     for ua, ub in (shared, shared[::-1]):
-        trees = _lemma33_build(cg, ch, k, l, ua, ub, u3, v1, v2)
+        trees = _lemma33_build(cg, ch, k, l, ua, ub, u3, v1, v2, hpath, gpath, h.n)
         if trees is not None:
-            if pos.swap:
-                trees = [_transpose_tree(t, g.n, h.n) for t in trees]
             return _finish(g, h, s, trees, "3.3", claimed, budget)
     return _fallback(g, h, s, claimed, budget)
 
 
-def _lemma33_build(cg, ch, k, l, u1, u2, u3, v1, v2) -> Optional[list[set[Edge]]]:
-    m = ch.n
+def _lemma33_build(
+    cg, ch, k, l, u1, u2, u3, v1, v2, hpath, gpath, m
+) -> Optional[list[set[Edge]]]:
     opening = _h_opening(ch, v1, v2, l)
     if opening is None:
         return None
     hp, x_set = opening
     trees = [
-        _star(_hpath, _gpath, cg, v1, p[1], (u1, u2), m) | _hpath(p[1:], u3, m)
+        _star(hpath, gpath, cg, v1, p[1], (u1, u2), m) | hpath(p[1:], u3, m)
         for p in hp[: l - 1]
     ]
     gp = max_disjoint_paths(cg, u1, u2, need=k)
@@ -534,7 +519,7 @@ def _lemma33_build(cg, ch, k, l, u1, u2, u3, v1, v2) -> Optional[list[set[Edge]]
             return None
         rp = {p[-1]: p for p in fan_g.paths}
     for q, x in zip(gq, ends):
-        trees.append(_gpath(q, v1, m) | _fiber(_hpath, ch, x, m, x_set) | _gpath(rp[x], v2, m))
+        trees.append(gpath(q, v1, m) | _fiber(hpath, ch, x, m, x_set) | gpath(rp[x], v2, m))
     return trees
 
 

@@ -26,7 +26,7 @@ from .certificates import (
 )
 from .connectivity import kappa3_range_from_kappa, vertex_connectivity
 from .errors import Budget, BudgetExhausted, GraphFormatError, TreeconnError
-from .graphs import Graph, cartesian_product, flat_id
+from .graphs import Graph, cartesian_product, flat_id, norm_edge
 from .packing import STree, STreeBundle, kappa_k, kappa3_formula
 
 SCHEMA_VERSION = 1
@@ -98,10 +98,7 @@ def load_certificate_document(doc: dict) -> tuple[Graph, Graph, Certificate]:
         h = _rebuild_factor(factors["h"], "h")
         s = tuple(_integer(x, "s.flat entry") for x in doc["s"]["flat"])
         pairs = [tuple(p) for p in doc["s"]["pairs"]]
-        trees = tuple(
-            STree(frozenset((min(a, b), max(a, b)) for a, b in t))
-            for t in doc["trees"]
-        )
+        trees = tuple(STree(frozenset(norm_edge(a, b) for a, b in t)) for t in doc["trees"])
         bound = _integer(doc["claimed_bound"], "claimed_bound")
         provenance = str(doc["provenance"])
         product_n = _integer(doc["product_n"], "product_n")

@@ -18,7 +18,7 @@ MAX_PRODUCT_VERTICES = 10**6
 Edge = tuple[int, int]
 
 
-def _norm_edge(a: int, b: int) -> Edge:
+def norm_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
@@ -36,7 +36,7 @@ class Graph:
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
-            e = _norm_edge(a, b)
+            e = norm_edge(a, b)
             if e in seen:
                 raise ValueError(f"duplicate edge ({a},{b})")
             seen.add(e)
@@ -64,7 +64,7 @@ class Graph:
         return min(self.degree(v) for v in range(self.n))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return _norm_edge(a, b) in self.edges
+        return norm_edge(a, b) in self.edges
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -209,10 +209,6 @@ def generate(family: str, params: Sequence[int]) -> Graph:
 
 def flat_id(u: int, v: int, m: int) -> int:
     return u * m + v
-
-
-def unflat_id(x: int, m: int) -> tuple[int, int]:
-    return divmod(x, m)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

@@ -1,4 +1,5 @@
-from itertools import combinations
+import hashlib
+from itertools import combinations, permutations
 
 import pytest
 
@@ -10,12 +11,14 @@ from treeconn.bundles import (
     verify_original_bundle,
     verify_reduced_bundle,
 )
+from treeconn.connectivity import vertex_connectivity
 from treeconn.errors import Budget, BudgetExhausted
 from treeconn.graphs import (
     Graph,
     cartesian_product,
     complete,
     complete_bipartite,
+    complete_tripartite,
     cycle,
     path,
 )
@@ -99,6 +102,31 @@ def test_budget_exhaustion_raises():
     g = complete(7)
     with pytest.raises(BudgetExhausted):
         find_reduced_bundle(g, 6, 0, 1, 2, budget=Budget(10))
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def test_find_reduced_bundle_pinned():
+    # every ordered anchor triple and every t of four factors with kappa 3
+    # or 4: 2,670 searches, 1,698 of them successful.  A changed digest
+    # means a changed bundle or a changed tick count.
+    digest = hashlib.sha256()
+    graphs = (_petersen(), complete_bipartite(3, 4), complete_tripartite(2, 2, 3), complete(5))
+    for g in graphs:
+        k = vertex_connectivity(g)
+        for u1, u2, u3 in permutations(range(g.n), 3):
+            for t in range(k // 2 + 1):
+                budget = Budget()
+                rb = find_reduced_bundle(g, k, u1, u2, u3, t=t, budget=budget)
+                digest.update(repr((rb, budget.used)).encode())
+    assert digest.hexdigest() == (
+        "07c5efb8e0dda89b06f8ad3a912f4c87e6f520433eee76d8c75e5d2cab5ad683"
+    )
 
 
 # -- cycle through three independent edges ---------------------------------

@@ -375,15 +375,24 @@ def test_construction_bytes_pinned(monkeypatch):
 
     # both factors of K4 box K3,3 have kappa 3, so the multi-tree loops of
     # 3.1/1.2, 3.2, 3.3 and 3.4 run twice, where the grid below runs each
-    # at most once
-    g, h = complete(4), complete_bipartite(3, 3)
-    wide = [certify(g, h, s) for s in combinations(range(g.n * h.n), 3)]
-    assert {c.provenance for c in wide} == {
-        "3.1/1.2", "3.2", "3.3", "3.4", "4.1/t=0", "4.1/t=1",
-    }
-    assert digest_of(wide) == (
-        "eb81e3143f80a70203671569151d1917638c03f88512b8c05df68916d3c4e01e"
-    )
+    # at most once; 3.1/1.2 builds in G box H on K4 box K3,3 and in the
+    # reversed orientation on K3,3 box K4, whose H = K4 has no non-adjacent
+    # pair
+    for g, h, tags, expected in (
+        (
+            complete(4), complete_bipartite(3, 3),
+            {"3.1/1.2", "3.2", "3.3", "3.4", "4.1/t=0", "4.1/t=1"},
+            "eb81e3143f80a70203671569151d1917638c03f88512b8c05df68916d3c4e01e",
+        ),
+        (
+            complete_bipartite(3, 3), complete(4),
+            {"3.1/1.2", "3.2", "3.3", "3.4", "4.1/t=1"},
+            "4854889458d531bf31d27f3899225b00a2fb4a3d634fa6478d2404791e1c99a3",
+        ),
+    ):
+        wide = [certify(g, h, s) for s in combinations(range(g.n * h.n), 3)]
+        assert {c.provenance for c in wide} == tags
+        assert digest_of(wide) == expected
 
     certs = list(_pinned_certificates())
     monkeypatch.setattr(certificates, "find_reduced_bundle", exhausted)
@@ -395,6 +404,22 @@ def test_construction_bytes_pinned(monkeypatch):
     assert digest_of(certs) == (
         "208dc871f3319e939ea1c0106fbe9e036228ef3adc53300a4e930fe871ab4ba0"
     )
+
+
+@pytest.mark.parametrize(
+    "union",
+    [{(1, 4)}, {(0, 1)}],
+    ids=["misses-the-root", "misses-a-terminal"],
+)
+def test_finish_falls_back_when_a_piece_misses_a_terminal(monkeypatch, union):
+    # corner-share S = {(0,0), (0,1), (1,0)} = {0, 1, 3} of K3 box K3; a
+    # union without the least terminal, or without terminal 3, connects no S
+    monkeypatch.setattr(certificates, "_lemma32_build", lambda *args: [set(union)])
+    g = h = complete(3)
+    cert = certify(g, h, _s(g, h, [(0, 0), (0, 1), (1, 0)]))
+    assert cert.provenance == "search-fallback"
+    assert cert.verify() is None
+    assert len(cert.bundle) == cert.claimed_bound == 3
 
 
 # -- the one-pass verifier --------------------------------------------------

@@ -233,6 +233,19 @@ def test_pack_trees_counting_bound_decides_at_root():
     assert budget.used == 135  # 1,375 before the counting bound
 
 
+def test_pack_trees_pairwise_flow_prune_pinned():
+    # two K6 blocks {0..5} and {6..11} and two cut vertices 12 and 13, each
+    # adjacent to all twelve block vertices.  S = {0, 1, 6} has 7 + 7 + 7
+    # free edges at S, but every 0-6 path passes 12 or 13, so no third tree
+    # exists; only the pairwise flow check sees it before any tree is listed
+    blocks = [(a, b) for lo in (0, 6) for a in range(lo, lo + 6) for b in range(a + 1, lo + 6)]
+    g = Graph(14, blocks + [(x, c) for c in (12, 13) for x in range(12)])
+    assert pack_trees(g, (0, 1, 6), 3, Budget(0)) is None
+    budget = Budget(100)  # without the check, 5 * 10**6 ticks do not decide it
+    assert max_internally_disjoint_trees(g, (0, 1, 6), budget)[0] == 2
+    assert budget.used == 12
+
+
 def _brute_max_packing(g, s):
     """Largest family of pairwise internally disjoint minimal S-trees: no
     shared edge, no shared vertex outside S."""
