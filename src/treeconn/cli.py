@@ -265,9 +265,17 @@ def cmd_kappa3(args) -> int:
     return EXIT_OK
 
 
-def cmd_certify(args) -> int:
+def _read_factors(args) -> tuple[Graph, Graph]:
     g = _read_graph(args.g_file)
     h = _read_graph(args.h_file)
+    for name, f in (("G", g), ("H", h)):
+        if f.n < 2 or not f.is_connected():
+            raise InputError(f"{name} must be connected with >= 2 vertices")
+    return g, h
+
+
+def cmd_certify(args) -> int:
+    g, h = _read_factors(args)
     s = parse_s_spec(args.s, g, h)
     budget = Budget(args.budget)
     cert = certify(g, h, s, budget)
@@ -301,11 +309,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    g = _read_graph(args.g_file)
-    h = _read_graph(args.h_file)
-    for name, f in (("G", g), ("H", h)):
-        if f.n < 2 or not f.is_connected():
-            raise InputError(f"{name} must be connected with >= 2 vertices")
+    g, h = _read_factors(args)
     budget = Budget(args.budget)
     numbers = []
     for name, f in (("G", g), ("H", h)):

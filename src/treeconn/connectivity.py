@@ -4,9 +4,11 @@ vertex-split digraph; plus `simple_paths`, the one simple-path enumerator
 that the bundle, packing and certificate searches share.
 
 No digraph is built: the flow reads each split node's arcs from the
-graph's sorted adjacency when its BFS reaches the node, and indexes, per
-node, the tails of the flow-carrying arcs into it, so residual reverse arcs
-are read without scanning the whole flow.  Vertex connectivity follows
+graph's sorted adjacency the first time a BFS reaches the node and keeps
+them for the rest of the call.  Its residual state is two lists indexed by
+split node, the heads and the tails of the flow-carrying arcs at each node,
+so a BFS skips saturated arcs and reads residual reverse arcs by set lookups
+at the node, without scanning the whole flow.  Vertex connectivity follows
 Esfahanian and Hakimi (Networks 14, 1984): flows run only from a
 minimum-degree vertex v to its non-neighbours and between non-adjacent
 neighbours of v, (n - delta - 1) + delta(delta - 1)/2 at most.
@@ -39,53 +41,67 @@ def _max_flow(
     """Unit-capacity max flow via BFS augmentation on the vertex-split
     digraph of g minus `avoid`; returns the arcs that carry flow.
 
-    Vertex v has in-node 2v and out-node 2v+1.  The arcs are read from
-    g.adj as the BFS reaches a node: in(v) -> out(v); out(v) -> t when v is
-    in `ends` (a fan terminal, never passed through); otherwise out(v) ->
-    in(w) for each neighbour w outside `avoid`, ascending.  A vertex in
-    `shared` is not split: its in-node takes the out-node's arcs, so only
-    its edges bound the flow through it."""
-    flow: set[tuple[int, int]] = set()
-    # back[x]: tails y of arcs (y, x) carrying flow, i.e. the residual
-    # reverse arcs out of x.
-    back: dict[int, set[int]] = {}
+    Vertex v has in-node 2v and out-node 2v+1, and node 2n is free for a
+    fan's auxiliary sink.  Each node's arcs are read from g.adj once per
+    call, when a BFS first reaches it: in(v) -> out(v); out(v) -> t when v
+    is in `ends` (a fan terminal, never passed through); otherwise
+    out(v) -> in(w) for each neighbour w outside `avoid`, ascending.  A
+    vertex in `shared` is not split: its in-node takes the out-node's arcs,
+    so only its edges bound the flow through it.  The flow is kept per
+    node: fwd[x] holds the heads of the flow arcs out of x, whose residual
+    arcs are saturated, and back[x] their tails, the residual reverse arcs
+    out of x.  Each BFS stops when it reaches t."""
+    size = 2 * g.n + 1
+    arcs: list = [None] * size
+    fwd: list = [None] * size
+    back: list = [None] * size
     value = 0
     while need is None or value < need:
         # BFS over residual arcs, ascending node order.
-        parent: dict[int, int] = {s: s}
+        parent = [-1] * size
+        parent[s] = s
         queue = [s]
-        qi = 0
-        while qi < len(queue) and t not in parent:
-            x = queue[qi]
-            qi += 1
-            v, out = divmod(x, 2)
-            if not out and v not in shared:
-                arcs = (x + 1,)
-            elif v in ends:
-                arcs = (t,)
-            else:
-                arcs = [2 * w for w in g.adj[v] if w not in avoid]
-            residual = [y for y in arcs if (x, y) not in flow]
-            if back.get(x):
-                residual = sorted(back[x].union(residual))
-            for y in residual:
-                if y not in parent:
+        for x in queue:
+            out = arcs[x]
+            if out is None:
+                v, odd = divmod(x, 2)
+                if not odd and v not in shared:
+                    out = (x + 1,)
+                elif v in ends:
+                    out = (t,)
+                else:
+                    out = [2 * w for w in g.adj[v] if w not in avoid]
+                arcs[x] = out
+            heads, tails = fwd[x], back[x]
+            if heads:
+                out = [y for y in out if y not in heads]
+            if tails:
+                out = sorted(tails.union(out))
+            for y in out:
+                if parent[y] < 0:
                     parent[y] = x
                     queue.append(y)
-        if t not in parent:
-            break
-        node = t
-        while node != s:
-            prev = parent[node]
-            if (node, prev) in flow:
-                flow.discard((node, prev))
-                back[prev].discard(node)
+            if parent[t] >= 0:
+                break
+        else:
+            break  # t is unreachable: the flow is maximum
+        y = t
+        while y != s:
+            x = parent[y]
+            if back[x] and y in back[x]:
+                # (y, x) carries flow: cancel it.
+                back[x].discard(y)
+                fwd[y].discard(x)
             else:
-                flow.add((prev, node))
-                back.setdefault(node, set()).add(prev)
-            node = prev
+                if fwd[x] is None:
+                    fwd[x] = set()
+                if back[y] is None:
+                    back[y] = set()
+                fwd[x].add(y)
+                back[y].add(x)
+            y = x
         value += 1
-    return flow
+    return {(x, y) for x, heads in enumerate(fwd) if heads for y in heads}
 
 
 def _decompose(flow: set[tuple[int, int]], s: int, t: int) -> list[list[int]]:

@@ -172,6 +172,21 @@ def test_certify_bad_s_spec(k3_file):
     assert run(["certify", k3_file, k3_file, "--s", "0,0;0,0;1,1"]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "factor,s_spec",
+    [("1 0\n", "0,0;0,1;0,2"), ("4 2\n0 1\n2 3\n", "0,0;1,0;2,0")],
+    ids=["k1", "disconnected"],
+)
+def test_certify_rejects_bad_factor(k3_file, tmp_path, capsys, factor, s_spec):
+    bad = tmp_path / "bad.el"
+    bad.write_text(factor)
+    assert run(["certify", str(bad), k3_file, "--s", s_spec]) == cli.EXIT_INPUT
+    assert "G must be connected with >= 2 vertices" in capsys.readouterr().err
+    flipped = ";".join(",".join(p.split(",")[::-1]) for p in s_spec.split(";"))
+    assert run(["certify", k3_file, str(bad), "--s", flipped]) == cli.EXIT_INPUT
+    assert "H must be connected with >= 2 vertices" in capsys.readouterr().err
+
+
 def test_verify_detects_deleted_edge(k3_file, tmp_path, capsys):
     cert = tmp_path / "cert.json"
     run(["certify", k3_file, k3_file, "--s", "0,0;1,1;2,2", "--out", str(cert)])
