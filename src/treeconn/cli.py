@@ -233,13 +233,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_kappa3(args) -> int:
+    budget = Budget(args.budget)
     g = _read_graph(args.graph_file)
     if g.n < 3:
         raise InputError("kappa_3 needs at least three vertices")
     if args.mode == "exact":
         if not g.is_connected():
             raise InputError("graph must be connected for exact kappa_3")
-        budget = Budget(args.budget)
         try:
             value, witness, _ = kappa_k(g, 3, budget, use_symmetry=True)
         except BudgetExhausted:
@@ -275,9 +275,9 @@ def _read_factors(args) -> tuple[Graph, Graph]:
 
 
 def cmd_certify(args) -> int:
+    budget = Budget(args.budget)
     g, h = _read_factors(args)
     s = parse_s_spec(args.s, g, h)
-    budget = Budget(args.budget)
     cert = certify(g, h, s, budget)
     err = cert.verify()
     if err is not None:
@@ -309,8 +309,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    g, h = _read_factors(args)
     budget = Budget(args.budget)
+    g, h = _read_factors(args)
     numbers = []
     for name, f in (("G", g), ("H", h)):
         kappa, k3, delta = vertex_connectivity(f), factor_kappa3(f, budget), f.min_degree()

@@ -25,6 +25,8 @@ class Budget:
     """
 
     def __init__(self, limit: int = 10**8):
+        if limit < 0:
+            raise ValueError(f"budget must be non-negative, got {limit}")
         self.limit = limit
         self.used = 0
 

@@ -2,10 +2,12 @@
 disjoint S-trees, by bounded exhaustive search, plus every closed-form
 kappa_3 formula used as an oracle.
 
-Search strategy: trees are packed one at a time in ascending canonical
-order (killing permutation symmetry); minimal S-trees are enumerated
-lazily in the residual graph, their paths by `connectivity.simple_paths`;
-partial packings are pruned by terminal degrees, by counting the free
+Search strategy: trees are packed one at a time in ascending order of
+their least edge (killing permutation symmetry), so once a tree is chosen
+every edge up to its least edge is closed to the trees after it, as its
+own edges are.  Minimal S-trees are enumerated lazily in the residual
+graph, their paths by `connectivity.simple_paths`; partial packings are
+pruned, closed edges included, by terminal degrees, by counting the free
 edges at S (a tree on S alone has |S|-1 edges inside S, any other tree at
 least |S| edges at S, since its non-terminals span a forest), and by
 pairwise flows in which the trees' paths may share terminals.  Where only
@@ -21,6 +23,7 @@ arithmetic on the factors, without building the product.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Callable, Iterator, Optional, Sequence
@@ -211,11 +214,10 @@ def pack_trees(
                     return False
         return True
 
+    edges = g.sorted_edges()
+
     def rec(
-        chosen: list[STree],
-        banned_v: set[int],
-        banned_e: set[Edge],
-        prev_key,
+        chosen: list[STree], banned_v: set[int], banned_e: set[Edge]
     ) -> Optional[list[STree]]:
         if len(chosen) == r:
             return chosen
@@ -225,21 +227,19 @@ def pack_trees(
         for tree in _iter_trees(
             g, list(terms), frozenset(banned_v), frozenset(banned_e), budget
         ):
-            key = sorted(tree.edges)
-            if prev_key is not None and key <= prev_key:
-                continue
-            internals = set(tree.vertices) - sset
+            # edge-disjoint trees differ in their least edge, and they come
+            # in its ascending order: later trees avoid every edge up to it
+            floor = bisect_right(edges, min(tree.edges))
             res = rec(
                 chosen + [tree],
-                banned_v | internals,
-                banned_e | set(tree.edges),
-                key,
+                banned_v | (tree.vertices - sset),
+                banned_e.union(tree.edges, edges[:floor]),
             )
             if res is not None:
                 return res
         return None
 
-    found = rec([], set(), set(), None)
+    found = rec([], set(), set())
     if found is None:
         return None
     bundle = STreeBundle(terms, tuple(found))

@@ -155,6 +155,19 @@ def test_certify_budget_exhausted_exit(k3_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["kappa3", "certify", "bounds"])
+def test_negative_budget_is_refused(command, k3_file, capsys):
+    args = {
+        "kappa3": [k3_file],
+        "certify": [k3_file, k3_file, "--s", "0,0;1,1;2,2"],
+        "bounds": [k3_file, k3_file],
+    }[command]
+    assert run([command, *args, "--budget", "-3"]) == cli.EXIT_INPUT
+    assert "budget must be non-negative" in capsys.readouterr().err
+    # a zero budget is a budget: the first tick exhausts it
+    assert run([command, *args, "--budget", "0"]) == cli.EXIT_BUDGET
+
+
 def test_internal_fault_exit(k3_file, monkeypatch, capsys):
     from treeconn import certificates
 

@@ -246,6 +246,59 @@ def test_pack_trees_pairwise_flow_prune_pinned():
     assert budget.used == 12
 
 
+def test_pack_trees_k223_exhaustion_ticks_pinned():
+    # one of the K2,2,3 exhaustion proofs of the kappa3-exact bench: the
+    # root passes the degree, counting and flow checks, and the search must
+    # list trees to rule r = 4 out (897 ticks with the sorted-key filter
+    # the least-edge floor replaced)
+    budget = Budget()
+    assert pack_trees(complete_tripartite(2, 2, 3), (0, 2, 4), 4, budget) is None
+    assert budget.used == 485
+
+
+def _seeded_connected_graphs():
+    """100 seeded random connected graphs on 4 to 9 vertices."""
+    rng = random.Random(15)
+    found = []
+    while len(found) < 100:
+        n = rng.randint(4, 9)
+        p = rng.choice((0.4, 0.55, 0.7, 0.85))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        if g.is_connected():
+            found.append(g)
+    return found
+
+
+def test_pack_trees_outputs_digest_pinned():
+    # (r, bundle or None) of pack_trees on one seeded k-set per k in
+    # {2, 3, 4} of each graph, for every r up to the set's least terminal
+    # degree (874 calls), then (value, witness, bundle) of kappa_k(g, 3)
+    # with and without use_symmetry.  Recorded with the sorted-key filter,
+    # before the least-edge floor replaced it: the floor drops only trees
+    # the filter skipped, so the same first packing is returned.  On a
+    # 2-core machine the run took 52 s with the filter and 5 s with the
+    # floor.
+    def trees(bundle):
+        return None if bundle is None else [sorted(t.edges) for t in bundle.trees]
+
+    digest = hashlib.sha256()
+    rng = random.Random(16)
+    graphs = _seeded_connected_graphs()
+    for g in graphs:
+        for k in (2, 3, 4):
+            s = tuple(sorted(rng.sample(range(g.n), k)))
+            for r in range(1, min(g.degree(t) for t in s) + 1):
+                bundle = pack_trees(g, s, r)
+                digest.update(repr((g.n, g.sorted_edges(), s, r, trees(bundle))).encode())
+    for g in graphs:
+        for sym in (False, True):
+            value, witness, bundle = kappa_k(g, 3, use_symmetry=sym)
+            digest.update(repr((sym, value, witness, trees(bundle))).encode())
+    assert digest.hexdigest() == (
+        "ec3a84576dbb0be79d316217714419758723e85d33cb862879499a52e47088dd"
+    )
+
+
 def _brute_max_packing(g, s):
     """Largest family of pairwise internally disjoint minimal S-trees: no
     shared edge, no shared vertex outside S."""
