@@ -2,19 +2,23 @@
 disjoint S-trees, by bounded exhaustive search, plus every closed-form
 kappa_3 formula used as an oracle.
 
-Search strategy: trees are packed one at a time in ascending order of
-their least edge (killing permutation symmetry), so once a tree is chosen
-every edge up to its least edge is closed to the trees after it, as its
-own edges are.  Minimal S-trees are enumerated lazily in the residual
-graph, their paths by `connectivity.simple_paths`; partial packings are
-pruned, closed edges included, by terminal degrees, by counting the free
-edges at S (a tree on S alone has |S|-1 edges inside S, any other tree at
-least |S| edges at S, since its non-terminals span a forest), and by
-pairwise flows in which the trees' paths may share terminals.  Where only
-a yes is needed (`kappa_k`'s skip test), a deterministic greedy packer
+Search strategy: a value is decided before any bundle is built.
+`_decide` answers "r trees?" by branching on one edge at a time at the
+terminal with the fewest free edges, where a tight terminal forces every
+remaining tree to end in it (see its docstring).  The greedy packer
 (`_greedy_pack`: each tree a union of BFS paths from its cheapest centre)
-answers first, and the exhaustive search runs only when it fails; every
-bundle that is returned comes from the exhaustive search.
+run at the upper bound gives a lower bound, and `_decide` runs from the
+upper bound down to it.  `pack_trees` then builds the bundle once, at the
+value: trees are packed one at a time in ascending order of their least
+edge (killing permutation symmetry), so once a tree is chosen every edge
+up to its least edge is closed to the trees after it, as its own edges
+are.  Both searches enumerate minimal S-trees lazily in the residual
+graph, their paths by `connectivity.simple_paths`, and prune with the
+same `_feasible`: by terminal degrees and by counting the free edges at S
+(`_room`, which on the whole graph is the upper bound; a tree on S alone
+has |S|-1 edges inside S, any other tree at least |S| edges at S, since
+its non-terminals span a forest), and by pairwise flows in which the
+trees' paths may share terminals.
 
 `verify_bundle` is the one checker of a packing.  It sees the graph only
 through an edge test, so a certificate is checked against G box H by
@@ -26,11 +30,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import AbstractSet, Callable, Iterator, Optional, Sequence
 
 from .connectivity import max_disjoint_paths, path_edges, simple_paths
 from .errors import Budget
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, norm_edge
 
 @dataclass(frozen=True)
 class STree:
@@ -161,6 +165,66 @@ def _iter_trees(
 # -- exact packing ---------------------------------------------------------
 
 
+def _room(
+    g: Graph,
+    terms: tuple[int, ...],
+    banned_v: AbstractSet[int] = frozenset(),
+    banned_e: AbstractSet[Edge] = frozenset(),
+) -> int:
+    """How many S-trees the free edges at S (S = `terms`, sorted and
+    distinct) leave room for, without the banned non-terminals and edges.
+
+    Each tree holds a free edge at every terminal.  Counting bound: a tree
+    on S alone has k-1 edges inside S; any other tree has k+|X|-1 edges (X
+    its non-terminals), at most |X|-1 of them inside X (a forest), so at
+    least k at S.  The trees are edge-disjoint and at most inner // (k-1)
+    of them lie on S alone.  The result is never above m // (k-1), since
+    at most m edges meet S."""
+    sset = frozenset(terms)
+    k = len(terms)
+    least = g.n
+    inner = cross = 0
+    for t in terms:
+        deg = 0
+        for y in g.neighbors(t):
+            if y in banned_v or ((t, y) if t < y else (y, t)) in banned_e:
+                continue
+            deg += 1
+            if y in sset:
+                inner += 1
+            else:
+                cross += 1
+        least = min(least, deg)
+    inner //= 2
+    return min(least, (inner + cross + inner // (k - 1)) // k)
+
+
+def _feasible(
+    g: Graph,
+    terms: tuple[int, ...],
+    rem: int,
+    banned_v: AbstractSet[int],
+    banned_e: AbstractSet[Edge],
+) -> bool:
+    """False when `rem` more S-trees provably do not fit in g without the
+    banned non-terminals and edges (S = `terms`, sorted and distinct)."""
+    if _room(g, terms, banned_v, banned_e) < rem:
+        return False
+    if rem >= 2:
+        # each tree holds an a-b path; the paths share no edge and no vertex
+        # outside S, but may pass through the other terminals
+        residual = Graph(g.n, g.edges - banned_e) if banned_e else g
+        avoid = frozenset(banned_v)
+        sset = frozenset(terms)
+        for a, b in combinations(terms, 2):
+            got = len(
+                max_disjoint_paths(residual, a, b, need=rem, avoid=avoid, shared=sset)
+            )
+            if got < rem:
+                return False
+    return True
+
+
 def pack_trees(
     g: Graph,
     s: Sequence[int],
@@ -176,44 +240,6 @@ def pack_trees(
     if len(terms) < 2:
         raise ValueError("need at least two terminals")
     sset = frozenset(terms)
-    k = len(terms)
-
-    def feasible(rem: int, banned_v: set[int], banned_e: set[Edge]) -> bool:
-        # Counting bound: a tree on S alone has k-1 edges inside S; any other
-        # tree has k+|X|-1 edges (X its non-terminals), at most |X|-1 of them
-        # inside X (a forest), so at least k at S.  The trees are edge-
-        # disjoint and at most inner // (k-1) of them lie on S alone.
-        inner = cross = 0
-        for t in terms:
-            deg = 0
-            for y in g.neighbors(t):
-                if y in banned_v or ((t, y) if t < y else (y, t)) in banned_e:
-                    continue
-                deg += 1
-                if y in sset:
-                    inner += 1
-                else:
-                    cross += 1
-            if deg < rem:
-                return False
-        inner //= 2
-        if rem * k > inner + cross + inner // (k - 1):
-            return False
-        if rem >= 2:
-            # each tree holds an a-b path; the paths share no edge and no
-            # vertex outside S, but may pass through the other terminals
-            residual = Graph(g.n, g.edges - banned_e)
-            avoid = frozenset(banned_v)
-            for a, b in combinations(terms, 2):
-                got = len(
-                    max_disjoint_paths(
-                        residual, a, b, need=rem, avoid=avoid, shared=sset
-                    )
-                )
-                if got < rem:
-                    return False
-        return True
-
     edges = g.sorted_edges()
 
     def rec(
@@ -222,7 +248,7 @@ def pack_trees(
         if len(chosen) == r:
             return chosen
         rem = r - len(chosen)
-        if not feasible(rem, banned_v, banned_e):
+        if not _feasible(g, terms, rem, banned_v, banned_e):
             return None
         for tree in _iter_trees(
             g, list(terms), frozenset(banned_v), frozenset(banned_e), budget
@@ -248,11 +274,58 @@ def pack_trees(
     return bundle
 
 
-def _greedy_pack(
-    g: Graph, s: Sequence[int], r: int, budget: Budget
-) -> Optional[STreeBundle]:
-    """r internally disjoint S-trees placed one at a time, or None (which
-    proves nothing).
+def _decide(g: Graph, s: Sequence[int], r: int, budget: Budget) -> bool:
+    """Whether r internally disjoint S-trees exist, without building them.
+
+    At each node the terminal t with the fewest free edges is taken, with
+    f = (t, y) its least free edge.  If t has exactly as many free edges as
+    trees remain, each remaining tree uses one of them, so t is a leaf of
+    every remaining tree and only the trees f + T are tried, T a minimal
+    tree of G - t on the other terminals and y.  Otherwise the minimal
+    S-trees that contain f are tried, and then f is banned.  Every packing
+    is reached, so False is a proof."""
+    terms = tuple(sorted(set(s)))
+    sset = frozenset(terms)
+
+    def rec(rem: int, banned_v: frozenset[int], banned_e: frozenset[Edge]) -> bool:
+        if not rem:
+            return True
+        if not _feasible(g, terms, rem, banned_v, banned_e):
+            return False
+        free = {
+            x: [y for y in g.neighbors(x)
+                if y not in banned_v and norm_edge(x, y) not in banned_e]
+            for x in terms
+        }
+        t = min(terms, key=lambda x: len(free[x]))
+        y = free[t][0]
+        f = norm_edge(t, y)
+        if len(free[t]) == rem:
+            rest = sorted(sset - {t} | {y})
+            subs = (
+                _iter_trees(g, rest, banned_v | {t}, banned_e, budget)
+                if len(rest) > 1
+                else [STree(frozenset())]  # y is the one other terminal
+            )
+            trees = (sub.edges | {f} for sub in subs)
+        else:
+            trees = (
+                tree.edges
+                for tree in _iter_trees(g, list(terms), banned_v, banned_e, budget)
+                if f in tree.edges
+            )
+        for edges in trees:
+            inner = frozenset(v for e in edges for v in e) - sset
+            if rec(rem - 1, banned_v | inner, banned_e | edges):
+                return True
+        return len(free[t]) > rem and rec(rem, banned_v, banned_e | {f})
+
+    return rec(r, frozenset(), frozenset())
+
+
+def _greedy_pack(g: Graph, s: Sequence[int], r: int, budget: Budget) -> STreeBundle:
+    """Up to r internally disjoint S-trees placed one at a time, stopping
+    at the first that does not fit (fewer than r trees prove nothing).
 
     For each tree, every vertex c not yet a non-terminal of a placed tree
     is tried as the centre: a BFS from c, in ascending adjacency order,
@@ -307,7 +380,7 @@ def _greedy_pack(
                 if len(edges) == len(terms) - 1:
                     break  # a tree on S alone: no candidate is cheaper
         if best is None:
-            return None
+            break
         used_e.update(best)
         used_v.update(v for e in best for v in e if v not in sset)
         trees.append(STree(frozenset(best)))
@@ -317,14 +390,23 @@ def _greedy_pack(
     return bundle
 
 
+def _kappa_value(g: Graph, terms: tuple[int, ...], upper: int, budget: Budget) -> int:
+    """kappa(S), given kappa(S) <= upper: the greedy packer at `upper` gives
+    a lower bound lo, and `_decide` tries upper, upper - 1, ... down to
+    lo + 1."""
+    lo = len(_greedy_pack(g, terms, upper, budget))
+    return next((r for r in range(upper, lo, -1) if _decide(g, terms, r, budget)), lo)
+
+
 def max_internally_disjoint_trees(
     g: Graph,
     s: Sequence[int],
     budget: Optional[Budget] = None,
     upper: Optional[int] = None,
 ) -> tuple[int, STreeBundle]:
-    """Exact kappa(S) with a witness bundle (search from the upper bound
-    downward)."""
+    """Exact kappa(S) with a witness bundle: the value is decided without
+    building trees (see `_kappa_value`), then `pack_trees` packs that many
+    once."""
     if budget is None:
         budget = Budget()
     terms = tuple(sorted(set(s)))
@@ -332,15 +414,13 @@ def max_internally_disjoint_trees(
         raise ValueError("need at least two terminals")
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    ub = min(g.degree(t) for t in terms)
-    ub = min(ub, g.m // (len(terms) - 1))
+    ub = _room(g, terms)
     if upper is not None:
         ub = min(ub, upper)
-    for r in range(ub, 0, -1):
-        bundle = pack_trees(g, terms, r, budget)
-        if bundle is not None:
-            return r, bundle
-    raise AssertionError("connected graph must admit one S-tree")
+    r = _kappa_value(g, terms, ub, budget)
+    bundle = pack_trees(g, terms, r, budget)
+    assert bundle is not None, "internal error: decided packing not found"
+    return r, bundle
 
 
 # -- automorphisms and orbit pruning ---------------------------------------
@@ -484,12 +564,12 @@ def kappa_k(
 ) -> tuple[int, tuple[int, ...], STreeBundle]:
     """min over k-subsets of kappa(S); returns (value, witness S, bundle).
 
-    The least subset 0..k-1 is evaluated first; if its kappa is 1 it is the
-    answer, and no automorphism is searched for.  A later subset is
-    skipped when it still admits as many trees as the current minimum: the
-    greedy packer decides that first, and `pack_trees` only when the greedy
-    packer fails.  Only a subset below the minimum gets a full evaluation,
-    so the returned bundle is always the exhaustive search's.  With
+    Every subset is evaluated by value only (`_kappa_value`, which builds no
+    bundle), and `pack_trees` packs the witness once at the end.  The least
+    subset 0..k-1 is evaluated first; if its kappa is 1 it is the answer,
+    and no automorphism is searched for.  A later subset is skipped when it
+    still admits as many trees as the current minimum: when the greedy
+    packer places that many, or else when `_decide` says so.  With
     `use_symmetry`, only the least k-subset of each Aut(g)-orbit is
     evaluated; the result is the same, because the least subset attaining
     the minimum is the least of its orbit and the skip test answers
@@ -502,27 +582,23 @@ def kappa_k(
     if not g.is_connected():
         raise ValueError("graph must be connected")
     best_s = tuple(range(k))
-    best, best_bundle = max_internally_disjoint_trees(g, best_s, budget)
-    if best == 1:
-        return best, best_s, best_bundle
-    subsets = (
-        subset_orbit_reps(g, k, automorphism_generators(g, budget))
-        if use_symmetry
-        else combinations(range(g.n), k)
-    )
-    # both orders start with 0..k-1, the least subset, already evaluated
-    for sub in islice(subsets, 1, None):
-        if best == 1:
-            break
-        if (
-            _greedy_pack(g, sub, best, budget) is None
-            and pack_trees(g, sub, best, budget) is None
-        ):
-            best, best_bundle = max_internally_disjoint_trees(
-                g, sub, budget, upper=best - 1
-            )
-            best_s = sub
-    return best, best_s, best_bundle
+    best = _kappa_value(g, best_s, _room(g, best_s), budget)
+    if best > 1:
+        subsets = (
+            subset_orbit_reps(g, k, automorphism_generators(g, budget))
+            if use_symmetry
+            else combinations(range(g.n), k)
+        )
+        # both orders start with 0..k-1, the least subset, already evaluated
+        for sub in islice(subsets, 1, None):
+            if best == 1:
+                break
+            value = _kappa_value(g, sub, best, budget)
+            if value < best:
+                best, best_s = value, sub
+    bundle = pack_trees(g, best_s, best, budget)
+    assert bundle is not None, "internal error: decided packing not found"
+    return best, best_s, bundle
 
 
 # -- closed-form oracles ---------------------------------------------------

@@ -230,7 +230,9 @@ def test_pack_trees_counting_bound_decides_at_root():
     assert pack_trees(complete_bipartite(4, 4), (0, 1, 4), 4, Budget(0)) is None
     budget = Budget(10**6)
     assert kappa_k(complete(7), 3, budget, use_symmetry=True)[0] == 5
-    assert budget.used == 135  # 1,375 before the counting bound
+    # 1,375 before the counting bound; 135 while pack_trees, not the
+    # greedy packer, went first at the counting bound's r = 5
+    assert budget.used == 178
 
 
 def test_pack_trees_pairwise_flow_prune_pinned():
@@ -241,9 +243,11 @@ def test_pack_trees_pairwise_flow_prune_pinned():
     blocks = [(a, b) for lo in (0, 6) for a in range(lo, lo + 6) for b in range(a + 1, lo + 6)]
     g = Graph(14, blocks + [(x, c) for c in (12, 13) for x in range(12)])
     assert pack_trees(g, (0, 1, 6), 3, Budget(0)) is None
-    budget = Budget(100)  # without the check, 5 * 10**6 ticks do not decide it
+    budget = Budget(253)  # without the check, 5 * 10**6 ticks do not decide it
     assert max_internally_disjoint_trees(g, (0, 1, 6), budget)[0] == 2
-    assert budget.used == 12
+    # 12 while pack_trees went down from r = 7; the greedy packer now
+    # places two trees and tries every centre for a third
+    assert budget.used == 253
 
 
 def test_pack_trees_k223_exhaustion_ticks_pinned():
@@ -299,6 +303,55 @@ def test_pack_trees_outputs_digest_pinned():
     )
 
 
+def _pack_trees_digest_inputs():
+    """The (g, s, r) of test_pack_trees_outputs_digest_pinned, in order."""
+    rng = random.Random(16)
+    for g in _seeded_connected_graphs():
+        for k in (2, 3, 4):
+            s = tuple(sorted(rng.sample(range(g.n), k)))
+            for r in range(1, min(g.degree(t) for t in s) + 1):
+                yield g, s, r
+
+
+def test_decide_agrees_with_pack_trees_on_the_digest_inputs():
+    for g, s, r in _pack_trees_digest_inputs():
+        want = pack_trees(g, s, r) is not None
+        assert packing._decide(g, s, r, Budget()) == want, (g.edges, s, r)
+
+
+def test_decide_agrees_with_pack_trees_on_all_small_graphs():
+    # every 3-set and 4-set of every connected labelled graph on 3-5
+    # vertices, every r up to the least terminal degree
+    for g in _connected_graphs_up_to_5():
+        for k in (3, 4):
+            for s in combinations(range(g.n), k):
+                for r in range(1, min(g.degree(t) for t in s) + 1):
+                    want = pack_trees(g, s, r) is not None
+                    assert packing._decide(g, s, r, Budget()) == want, (g.edges, s, r)
+
+
+def test_decide_k223_proof_ticks_pinned():
+    # the K2,2,3 proof of test_pack_trees_k223_exhaustion_ticks_pinned,
+    # where pack_trees takes 485 ticks
+    budget = Budget()
+    assert not packing._decide(complete_tripartite(2, 2, 3), (0, 2, 4), 4, budget)
+    assert budget.used == 115
+
+
+def test_decide_p3_k5_minus_edge_proof_ticks_pinned():
+    # P3 box (K5 - (3, 4)): every terminal of S = {3, 4, 13} has degree 4,
+    # and no 4 trees exist; pack_trees takes 268,946 ticks to say so
+    k5e = Graph(5, [e for e in complete(5).edges if e != (3, 4)])
+    budget = Budget()
+    assert not packing._decide(cartesian_product(path(3), k5e), (3, 4, 13), 4, budget)
+    assert budget.used == 73_039
+
+
+def test_decide_ticks_the_budget():
+    with pytest.raises(BudgetExhausted):
+        packing._decide(complete_tripartite(2, 2, 3), (0, 2, 4), 4, Budget(114))
+
+
 def _brute_max_packing(g, s):
     """Largest family of pairwise internally disjoint minimal S-trees: no
     shared edge, no shared vertex outside S."""
@@ -335,30 +388,26 @@ def test_max_trees_match_brute_force_on_all_small_graphs():
 
 def test_greedy_pack_is_sound_on_all_small_graphs():
     # every 3-set and 4-set of every connected labelled graph on 3-5
-    # vertices, every r up to the least terminal degree: None, or r trees
+    # vertices, every r up to the least terminal degree: at most r trees
     # that verify_bundle accepts and the brute-force maximum allows
-    decided = 0
+    reached = 0
     for g in _connected_graphs_up_to_5():
         for k in (3, 4):
             for s in combinations(range(g.n), k):
-                top = 0
+                most = _brute_max_packing(g, s)
                 for r in range(1, min(g.degree(t) for t in s) + 1):
                     bundle = packing._greedy_pack(g, s, r, Budget())
-                    if bundle is not None:
-                        assert bundle.s == s and len(bundle) == r
-                        assert verify_bundle(g.has_edge, bundle) is None
-                        top = r
-                        decided += 1
-                if top:
-                    assert _brute_max_packing(g, s) >= top, (g.edges, s)
-    assert decided > 0
+                    assert bundle.s == s and len(bundle) <= min(r, most), (g.edges, s, r)
+                    assert verify_bundle(g.has_edge, bundle) is None
+                    reached += len(bundle) == r
+    assert reached > 0
 
 
 def test_greedy_pack_ticks_the_budget(monkeypatch):
     with pytest.raises(BudgetExhausted):
         packing._greedy_pack(complete(4), (0, 1, 2), 1, Budget(0))
     # inside kappa_k the greedy packer ticks the caller's budget: a limit
-    # of the ticks spent before the first skip test runs out in it
+    # of the ticks spent before its first call runs out in it
     entered = []
     real = packing._greedy_pack
 
