@@ -8,17 +8,21 @@ terminal with the fewest free edges, where a tight terminal forces every
 remaining tree to end in it (see its docstring).  The greedy packer
 (`_greedy_pack`: each tree a union of BFS paths from its cheapest centre)
 run at the upper bound gives a lower bound, and `_decide` runs from the
-upper bound down to it.  `pack_trees` then builds the bundle once, at the
-value: trees are packed one at a time in ascending order of their least
+upper bound down to it.  `kappa_k` returns the trees of the search that
+set the value, so nothing is packed twice.  `max_internally_disjoint_trees`
+packs its value again with `pack_trees`, because Lemma 3.4 and the exact
+fallback copy that search's first packing into certificate bytes.
+`pack_trees` packs trees one at a time in ascending order of their least
 edge (killing permutation symmetry), so once a tree is chosen every edge
 up to its least edge is closed to the trees after it, as its own edges
-are.  Both searches enumerate minimal S-trees lazily in the residual
-graph, their paths by `connectivity.simple_paths`, and prune with the
-same `_feasible`: by terminal degrees and by counting the free edges at S
-(`_room`, which on the whole graph is the upper bound; a tree on S alone
-has |S|-1 edges inside S, any other tree at least |S| edges at S, since
-its non-terminals span a forest), and by pairwise flows in which the
-trees' paths may share terminals.
+are; every bundle lists its trees in that order.  Both exact searches
+enumerate minimal S-trees lazily in the residual graph, their paths by
+`connectivity.simple_paths`, and prune with the same `_feasible`: by
+terminal degrees and by counting the free edges at S (`_room`, which on
+the whole graph is the upper bound; a tree on S alone has |S|-1 edges
+inside S, any other tree at least |S| edges at S, since its non-terminals
+span a forest), and by pairwise flows in which the trees' paths may share
+terminals.
 
 `verify_bundle` is the one checker of a packing.  It sees the graph only
 through an edge test, so a certificate is checked against G box H by
@@ -266,16 +270,25 @@ def pack_trees(
         return None
 
     found = rec([], set(), set())
-    if found is None:
-        return None
-    bundle = STreeBundle(terms, tuple(found))
+    return None if found is None else _checked_bundle(g, terms, found)
+
+
+def _checked_bundle(
+    g: Graph, terms: tuple[int, ...], trees: list[STree]
+) -> STreeBundle:
+    """The bundle of `trees` on S = `terms`, listed in ascending order of
+    their least edge (the order `pack_trees` finds them in), asserted to
+    pass `verify_bundle`."""
+    bundle = STreeBundle(terms, tuple(sorted(trees, key=lambda t: min(t.edges))))
     err = verify_bundle(g.has_edge, bundle)
     assert err is None, f"internal error: packed bundle invalid: {err}"
     return bundle
 
 
-def _decide(g: Graph, s: Sequence[int], r: int, budget: Budget) -> bool:
-    """Whether r internally disjoint S-trees exist, without building them.
+def _decide(
+    g: Graph, s: Sequence[int], r: int, budget: Budget
+) -> Optional[STreeBundle]:
+    """r internally disjoint S-trees, or None when there are none.
 
     At each node the terminal t with the fewest free edges is taken, with
     f = (t, y) its least free edge.  If t has exactly as many free edges as
@@ -283,15 +296,19 @@ def _decide(g: Graph, s: Sequence[int], r: int, budget: Budget) -> bool:
     every remaining tree and only the trees f + T are tried, T a minimal
     tree of G - t on the other terminals and y.  Otherwise the minimal
     S-trees that contain f are tried, and then f is banned.  Every packing
-    is reached, so False is a proof."""
+    is reached, so None is a proof.  The trees of the first packing reached
+    are returned in ascending order of their least edge, as `pack_trees`
+    lists its own; they need not be the trees `pack_trees` finds."""
     terms = tuple(sorted(set(s)))
     sset = frozenset(terms)
 
-    def rec(rem: int, banned_v: frozenset[int], banned_e: frozenset[Edge]) -> bool:
+    def rec(
+        rem: int, banned_v: frozenset[int], banned_e: frozenset[Edge]
+    ) -> Optional[list[STree]]:
         if not rem:
-            return True
+            return []
         if not _feasible(g, terms, rem, banned_v, banned_e):
-            return False
+            return None
         free = {
             x: [y for y in g.neighbors(x)
                 if y not in banned_v and norm_edge(x, y) not in banned_e]
@@ -316,11 +333,14 @@ def _decide(g: Graph, s: Sequence[int], r: int, budget: Budget) -> bool:
             )
         for edges in trees:
             inner = frozenset(v for e in edges for v in e) - sset
-            if rec(rem - 1, banned_v | inner, banned_e | edges):
-                return True
-        return len(free[t]) > rem and rec(rem, banned_v, banned_e | {f})
+            found = rec(rem - 1, banned_v | inner, banned_e | edges)
+            if found is not None:
+                found.append(STree(edges))
+                return found
+        return rec(rem, banned_v, banned_e | {f}) if len(free[t]) > rem else None
 
-    return rec(r, frozenset(), frozenset())
+    found = rec(r, frozenset(), frozenset())
+    return None if found is None else _checked_bundle(g, terms, found)
 
 
 def _greedy_pack(g: Graph, s: Sequence[int], r: int, budget: Budget) -> STreeBundle:
@@ -384,18 +404,24 @@ def _greedy_pack(g: Graph, s: Sequence[int], r: int, budget: Budget) -> STreeBun
         used_e.update(best)
         used_v.update(v for e in best for v in e if v not in sset)
         trees.append(STree(frozenset(best)))
-    bundle = STreeBundle(terms, tuple(trees))
-    err = verify_bundle(g.has_edge, bundle)
-    assert err is None, f"internal error: greedy bundle invalid: {err}"
-    return bundle
+    return _checked_bundle(g, terms, trees)
 
 
-def _kappa_value(g: Graph, terms: tuple[int, ...], upper: int, budget: Budget) -> int:
-    """kappa(S), given kappa(S) <= upper: the greedy packer at `upper` gives
-    a lower bound lo, and `_decide` tries upper, upper - 1, ... down to
-    lo + 1."""
-    lo = len(_greedy_pack(g, terms, upper, budget))
-    return next((r for r in range(upper, lo, -1) if _decide(g, terms, r, budget)), lo)
+def _kappa_value(
+    g: Graph, terms: tuple[int, ...], upper: int, budget: Budget
+) -> tuple[int, STreeBundle]:
+    """kappa(S) and a bundle of that many trees, given kappa(S) <= upper.
+
+    The greedy packer at `upper` gives a lower bound lo, and `_decide`
+    tries upper, upper - 1, ... down to lo + 1.  The bundle is the one of
+    the search that set the value: `_decide`'s at the first r it decides,
+    else the greedy packer's lo trees."""
+    greedy = _greedy_pack(g, terms, upper, budget)
+    for r in range(upper, len(greedy), -1):
+        bundle = _decide(g, terms, r, budget)
+        if bundle is not None:
+            return r, bundle
+    return len(greedy), greedy
 
 
 def max_internally_disjoint_trees(
@@ -404,9 +430,11 @@ def max_internally_disjoint_trees(
     budget: Optional[Budget] = None,
     upper: Optional[int] = None,
 ) -> tuple[int, STreeBundle]:
-    """Exact kappa(S) with a witness bundle: the value is decided without
-    building trees (see `_kappa_value`), then `pack_trees` packs that many
-    once."""
+    """Exact kappa(S) with a witness bundle: the value comes from
+    `_kappa_value`, and `pack_trees` then packs that many trees.  Its
+    bundle, not `_kappa_value`'s, is returned, because Lemma 3.4 and the
+    exact fallback copy this bundle into certificate bytes, which stay the
+    exhaustive search's first packing."""
     if budget is None:
         budget = Budget()
     terms = tuple(sorted(set(s)))
@@ -417,7 +445,7 @@ def max_internally_disjoint_trees(
     ub = _room(g, terms)
     if upper is not None:
         ub = min(ub, upper)
-    r = _kappa_value(g, terms, ub, budget)
+    r, _ = _kappa_value(g, terms, ub, budget)
     bundle = pack_trees(g, terms, r, budget)
     assert bundle is not None, "internal error: decided packing not found"
     return r, bundle
@@ -564,16 +592,17 @@ def kappa_k(
 ) -> tuple[int, tuple[int, ...], STreeBundle]:
     """min over k-subsets of kappa(S); returns (value, witness S, bundle).
 
-    Every subset is evaluated by value only (`_kappa_value`, which builds no
-    bundle), and `pack_trees` packs the witness once at the end.  The least
-    subset 0..k-1 is evaluated first; if its kappa is 1 it is the answer,
-    and no automorphism is searched for.  A later subset is skipped when it
-    still admits as many trees as the current minimum: when the greedy
-    packer places that many, or else when `_decide` says so.  With
-    `use_symmetry`, only the least k-subset of each Aut(g)-orbit is
-    evaluated; the result is the same, because the least subset attaining
-    the minimum is the least of its orbit and the skip test answers
-    exactly whether kappa(S) reaches the current minimum.
+    Every subset is evaluated by `_kappa_value`, and the bundle returned is
+    the one of the search that set the minimum (the greedy packer's or
+    `_decide`'s, trees in ascending order of their least edge), so no
+    search runs twice.  The least subset 0..k-1 is evaluated first; if its
+    kappa is 1 it is the answer, and no automorphism is searched for.  A
+    later subset is skipped when it still admits as many trees as the
+    current minimum: when the greedy packer places that many, or else when
+    `_decide` says so.  With `use_symmetry`, only the least k-subset of
+    each Aut(g)-orbit is evaluated; the result is the same, because the
+    least subset attaining the minimum is the least of its orbit and the
+    skip test answers exactly whether kappa(S) reaches the current minimum.
     """
     if not 2 <= k <= g.n:
         raise ValueError("need 2 <= k <= n")
@@ -582,7 +611,7 @@ def kappa_k(
     if not g.is_connected():
         raise ValueError("graph must be connected")
     best_s = tuple(range(k))
-    best = _kappa_value(g, best_s, _room(g, best_s), budget)
+    best, bundle = _kappa_value(g, best_s, _room(g, best_s), budget)
     if best > 1:
         subsets = (
             subset_orbit_reps(g, k, automorphism_generators(g, budget))
@@ -593,11 +622,9 @@ def kappa_k(
         for sub in islice(subsets, 1, None):
             if best == 1:
                 break
-            value = _kappa_value(g, sub, best, budget)
+            value, found = _kappa_value(g, sub, best, budget)
             if value < best:
-                best, best_s = value, sub
-    bundle = pack_trees(g, best_s, best, budget)
-    assert bundle is not None, "internal error: decided packing not found"
+                best, best_s, bundle = value, sub, found
     return best, best_s, bundle
 
 

@@ -343,12 +343,14 @@ def test_lemma34_budget_use_pinned():
     # terminal counting bound in pack_trees cut it from 592 to 120; the
     # greedy packer that now runs first in each skip test ticks once per
     # BFS node, which raised it from 120 to 304; the greedy packer also
-    # gives each value search its lower bound, which raised it to 454
+    # gives each value search its lower bound, which raised it to 454;
+    # kappa_k keeping the bundle of the search that set its value, in place
+    # of packing the witness again, cut it to 444
     g, h = _petersen(), complete(3)
     budget = Budget(10**9)
     cert = certify(g, h, [0, 3, 6], budget)
     assert cert.provenance == "3.4"
-    assert budget.used == 454
+    assert budget.used == 444
 
 
 def _pinned_certificates():

@@ -378,6 +378,15 @@ def test_bounds_report_tight(k3_file, capsys):
     assert "exact kappa3 = 3 (tight)" in out
 
 
+def test_bounds_k4_k4_exact_at_the_product_limit(tmp_path, capsys):
+    # K4 box K4 has cli.EXACT_PRODUCT_LIMIT = 16 vertices, the largest
+    # product that bounds searches exactly
+    p = tmp_path / "k4.el"
+    p.write_text(format_edge_list(complete(4)))
+    assert run(["bounds", str(p), str(p)]) == 0
+    assert "exact kappa3 = 5 (tight)" in capsys.readouterr().out
+
+
 def test_bounds_p2_p2(tmp_path, capsys):
     p = tmp_path / "p2.el"
     p.write_text("2 1\n0 1\n")

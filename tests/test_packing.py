@@ -231,8 +231,22 @@ def test_pack_trees_counting_bound_decides_at_root():
     budget = Budget(10**6)
     assert kappa_k(complete(7), 3, budget, use_symmetry=True)[0] == 5
     # 1,375 before the counting bound; 135 while pack_trees, not the
-    # greedy packer, went first at the counting bound's r = 5
-    assert budget.used == 178
+    # greedy packer, went first at the counting bound's r = 5; 178 while
+    # pack_trees packed the witness again at the end
+    assert budget.used == 76
+
+
+def test_kappa_k_of_k4_box_k4_pinned():
+    # the 16-vertex product whose kappa3 `treeconn bounds` searches for K4
+    # and K4; 691,679 ticks while pack_trees packed the witness again at
+    # the end
+    budget = Budget()
+    g = cartesian_product(complete(4), complete(4))
+    value, witness, bundle = kappa_k(g, 3, budget, use_symmetry=True)
+    assert (value, witness) == (5, (0, 1, 2))
+    assert bundle.s == witness and len(bundle) == value
+    assert verify_bundle(g.has_edge, bundle) is None
+    assert budget.used == 28_953
 
 
 def test_pack_trees_pairwise_flow_prune_pinned():
@@ -273,36 +287,6 @@ def _seeded_connected_graphs():
     return found
 
 
-def test_pack_trees_outputs_digest_pinned():
-    # (r, bundle or None) of pack_trees on one seeded k-set per k in
-    # {2, 3, 4} of each graph, for every r up to the set's least terminal
-    # degree (874 calls), then (value, witness, bundle) of kappa_k(g, 3)
-    # with and without use_symmetry.  Recorded with the sorted-key filter,
-    # before the least-edge floor replaced it: the floor drops only trees
-    # the filter skipped, so the same first packing is returned.  On a
-    # 2-core machine the run took 52 s with the filter and 5 s with the
-    # floor.
-    def trees(bundle):
-        return None if bundle is None else [sorted(t.edges) for t in bundle.trees]
-
-    digest = hashlib.sha256()
-    rng = random.Random(16)
-    graphs = _seeded_connected_graphs()
-    for g in graphs:
-        for k in (2, 3, 4):
-            s = tuple(sorted(rng.sample(range(g.n), k)))
-            for r in range(1, min(g.degree(t) for t in s) + 1):
-                bundle = pack_trees(g, s, r)
-                digest.update(repr((g.n, g.sorted_edges(), s, r, trees(bundle))).encode())
-    for g in graphs:
-        for sym in (False, True):
-            value, witness, bundle = kappa_k(g, 3, use_symmetry=sym)
-            digest.update(repr((sym, value, witness, trees(bundle))).encode())
-    assert digest.hexdigest() == (
-        "ec3a84576dbb0be79d316217714419758723e85d33cb862879499a52e47088dd"
-    )
-
-
 def _pack_trees_digest_inputs():
     """The (g, s, r) of test_pack_trees_outputs_digest_pinned, in order."""
     rng = random.Random(16)
@@ -313,10 +297,61 @@ def _pack_trees_digest_inputs():
                 yield g, s, r
 
 
+def _trees(bundle):
+    return None if bundle is None else [sorted(t.edges) for t in bundle.trees]
+
+
+def test_pack_trees_outputs_digest_pinned():
+    # (r, bundle or None) of pack_trees on one seeded k-set per k in
+    # {2, 3, 4} of each graph, for every r up to the set's least terminal
+    # degree (874 calls).  Lemma 3.4 and the exact fallback copy these
+    # bundles into certificate bytes.  Recorded with the sorted-key filter,
+    # before the least-edge floor replaced it: the floor drops only trees
+    # the filter skipped, so the same first packing is returned.
+    digest = hashlib.sha256()
+    for g, s, r in _pack_trees_digest_inputs():
+        bundle = pack_trees(g, s, r)
+        digest.update(repr((g.n, g.sorted_edges(), s, r, _trees(bundle))).encode())
+    assert digest.hexdigest() == (
+        "578629077f7913f24929476a0b57991535e86c8bf2ec35a34e5d004aa016da61"
+    )
+
+
+def test_kappa_k_outputs_on_the_digest_graphs_pinned():
+    # (value, witness) and (value, witness, bundle) of kappa_k(g, 3) with
+    # and without use_symmetry on the graphs of the pack_trees digest.  The
+    # first digest was recorded while pack_trees packed the witness again
+    # at the end; the second since the bundle is the one of the search
+    # that set the value
+    values, bundles = hashlib.sha256(), hashlib.sha256()
+    for g in _seeded_connected_graphs():
+        for sym in (False, True):
+            value, witness, bundle = kappa_k(g, 3, use_symmetry=sym)
+            assert bundle.s == witness and len(bundle) == value
+            assert verify_bundle(g.has_edge, bundle) is None
+            values.update(repr((sym, value, witness)).encode())
+            bundles.update(repr((sym, value, witness, _trees(bundle))).encode())
+    assert values.hexdigest() == (
+        "b5bd757a171dd969d232210fca879762afdbb608a22235d9197555079420002d"
+    )
+    assert bundles.hexdigest() == (
+        "39ea66ea6972428fcadb3efe29f04fd9ece63aa80cce67b197e2e31d2d96c6ce"
+    )
+
+
+def _assert_decide_agrees(g, s, r):
+    """_decide packs r trees exactly when pack_trees does, and its packing
+    passes verify_bundle."""
+    bundle = packing._decide(g, s, r, Budget())
+    assert (bundle is not None) == (pack_trees(g, s, r) is not None), (g.edges, s, r)
+    if bundle is not None:
+        assert bundle.s == s and len(bundle) == r, (g.edges, s, r)
+        assert verify_bundle(g.has_edge, bundle) is None, (g.edges, s, r)
+
+
 def test_decide_agrees_with_pack_trees_on_the_digest_inputs():
     for g, s, r in _pack_trees_digest_inputs():
-        want = pack_trees(g, s, r) is not None
-        assert packing._decide(g, s, r, Budget()) == want, (g.edges, s, r)
+        _assert_decide_agrees(g, s, r)
 
 
 def test_decide_agrees_with_pack_trees_on_all_small_graphs():
@@ -326,8 +361,7 @@ def test_decide_agrees_with_pack_trees_on_all_small_graphs():
         for k in (3, 4):
             for s in combinations(range(g.n), k):
                 for r in range(1, min(g.degree(t) for t in s) + 1):
-                    want = pack_trees(g, s, r) is not None
-                    assert packing._decide(g, s, r, Budget()) == want, (g.edges, s, r)
+                    _assert_decide_agrees(g, s, r)
 
 
 def test_decide_k223_proof_ticks_pinned():
@@ -613,14 +647,20 @@ def _pinned_kappa_k_graphs():
 
 
 def test_kappa_k_triples_pinned():
-    # (value, witness, bundle) of the orbit-pruned kappa_k, recorded before
-    # the greedy packer joined the skip test: the greedy packer only decides
-    # skips, so every returned bundle is still the exhaustive search's.
-    digest = hashlib.sha256()
+    # (value, witness) and (value, witness, bundle) of the orbit-pruned
+    # kappa_k.  The first digest was recorded while pack_trees packed the
+    # witness again at the end; the second since the bundle is the one of
+    # the search that set the value (the greedy packer's or _decide's)
+    values, bundles = hashlib.sha256(), hashlib.sha256()
     for g in _pinned_kappa_k_graphs():
         value, witness, bundle = kappa_k(g, 3, use_symmetry=True)
-        trees = [sorted(t.edges) for t in bundle.trees]
-        digest.update(repr((g.n, value, witness, trees)).encode())
-    assert digest.hexdigest() == (
-        "81f6e40a9e714df4d42879a5b6f1418add48419ec00be65e708641d4a75c2ff3"
+        assert bundle.s == witness and len(bundle) == value
+        assert verify_bundle(g.has_edge, bundle) is None
+        values.update(repr((g.n, value, witness)).encode())
+        bundles.update(repr((g.n, value, witness, _trees(bundle))).encode())
+    assert values.hexdigest() == (
+        "9d82cb81a879134ab39c3bf44115e23b2295c2af5eef6a564819c6f980e51bf5"
+    )
+    assert bundles.hexdigest() == (
+        "2a0ecbd22a4230751d9c72a02d9a12cd0d37594895158dc98b147a76a02f8542"
     )
