@@ -94,6 +94,11 @@ def load_certificate_document(doc: dict) -> tuple[Graph, Graph, Certificate]:
                   doc["s"]["pairs"], *doc["trees"]),
             "edge endpoint or s.pairs entry",
         )
+        # refused before either factor is built, so a short document cannot
+        # make the loader allocate for a huge product
+        sizes = [_integer(factors[f]["n"], f"factor {f} n") for f in "gh"]
+        if sizes[0] * sizes[1] > graphs.MAX_PRODUCT_VERTICES:
+            raise InputError("product too large for dense vertex ids")
         g = _rebuild_factor(factors["g"], "g")
         h = _rebuild_factor(factors["h"], "h")
         s = tuple(_integer(x, "s.flat entry") for x in doc["s"]["flat"])
@@ -117,8 +122,6 @@ def load_certificate_document(doc: dict) -> tuple[Graph, Graph, Certificate]:
         raise InputError("product_n/product_m disagree with the factors")
     if not all(0 <= x < product_n for x in s):
         raise InputError(f"terminal flat ids {list(s)} outside 0..{product_n - 1}")
-    if product_n > graphs.MAX_PRODUCT_VERTICES:
-        raise InputError("product too large for dense vertex ids")
     bundle = STreeBundle(tuple(sorted(s)), trees)
     return g, h, Certificate(g, h, s, bundle, provenance, bound)
 

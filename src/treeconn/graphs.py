@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError
 
-# Products larger than this are rejected (dense id arrays assumed).
+# Graphs and products larger than this are rejected (dense id arrays assumed).
 MAX_PRODUCT_VERTICES = 10**6
 
 Edge = tuple[int, int]
@@ -30,6 +30,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
+        if n > MAX_PRODUCT_VERTICES:
+            raise ValueError(f"n={n} too large: at most {MAX_PRODUCT_VERTICES} vertices")
         seen: set[Edge] = set()
         for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):

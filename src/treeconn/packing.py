@@ -6,7 +6,7 @@ Search strategy: a value is decided before any bundle is built.
 `_decide` answers "r trees?" by branching on one edge at a time at the
 terminal with the fewest free edges, where a tight terminal forces every
 remaining tree to end in it (see its docstring).  The greedy packer
-(`_greedy_pack`: each tree a union of BFS paths from its cheapest centre)
+(`_greedy_pack`: each tree a union of BFS paths from a terminal root)
 run at the upper bound gives a lower bound, and `_decide` runs from the
 upper bound down to it.  `kappa_k` returns the trees of the search that
 set the value, so nothing is packed twice.  `max_internally_disjoint_trees`
@@ -347,26 +347,25 @@ def _greedy_pack(g: Graph, s: Sequence[int], r: int, budget: Budget) -> STreeBun
     """Up to r internally disjoint S-trees placed one at a time, stopping
     at the first that does not fit (fewer than r trees prove nothing).
 
-    For each tree, every vertex c not yet a non-terminal of a placed tree
-    is tried as the centre: a BFS from c, in ascending adjacency order,
-    over the unused edges and unused non-terminals (terminals may be passed
-    through) stops once S is reached, and the union of the BFS-parent
-    paths from S back to c, non-terminal leaves trimmed, is the candidate.
-    The candidate with the fewest edges (so the fewest non-terminals), then
-    the least c, is placed.  One budget tick per BFS node expanded."""
+    For each tree, every terminal c is tried as the root: a BFS from c, in
+    ascending adjacency order, over the unused edges and unused
+    non-terminals (terminals may be passed through) stops once S is
+    reached, and the union of the BFS-parent paths from S back to c (every
+    leaf a terminal) is the candidate.  The one with the fewest edges (so
+    the fewest non-terminals), then the least c, is placed.  A BFS that
+    misses a terminal ends the packing: S is cut apart in the free graph.
+    One budget tick per BFS node expanded."""
     terms = tuple(sorted(set(s)))
     sset = frozenset(terms)
     used_v: set[int] = set()
     used_e: set[Edge] = set()
     trees: list[STree] = []
     for _ in range(r):
-        best: Optional[list[Edge]] = None
-        for c in range(g.n):
-            if c in used_v:
-                continue
+        best: list[Edge] = []
+        for c in terms:
             parent = {c: c}
             queue = [c]
-            missing = len(sset - {c})
+            missing = len(terms) - 1
             for x in queue:
                 if not missing:
                     break
@@ -380,7 +379,7 @@ def _greedy_pack(g: Graph, s: Sequence[int], r: int, budget: Budget) -> STreeBun
                     queue.append(y)
                     missing -= y in sset
             if missing:
-                continue
+                return _checked_bundle(g, terms, trees)
             tree = {c}
             edges: list[Edge] = []
             for x in terms:
@@ -389,18 +388,10 @@ def _greedy_pack(g: Graph, s: Sequence[int], r: int, budget: Budget) -> STreeBun
                     y = parent[x]
                     edges.append((x, y) if x < y else (y, x))
                     x = y
-            # every leaf but c is a terminal; trim from c down
-            x = c
-            while x not in sset and sum(x in e for e in edges) == 1:
-                e = next(e for e in edges if x in e)
-                edges.remove(e)
-                x = e[0] + e[1] - x
-            if best is None or len(edges) < len(best):
+            if not best or len(edges) < len(best):
                 best = edges
                 if len(edges) == len(terms) - 1:
                     break  # a tree on S alone: no candidate is cheaper
-        if best is None:
-            break
         used_e.update(best)
         used_v.update(v for e in best for v in e if v not in sset)
         trees.append(STree(frozenset(best)))
@@ -635,10 +626,10 @@ def kappa3_formula(family: str, params: Sequence[int]) -> int:
     """kappa_3 closed forms for the named families.
 
     complete(b); complete_bipartite(a, b); complete_tripartite(a, b, c);
-    cycle_product(k) for a product of k cycles; complete_times_complete(a, b)
-    for K_{a+1} box K_b; complete_times_tripartite_aaa(a, b) for
-    K_b box K_{a,a,a}; complete_times_tripartite_a_a1_a1(a, b) for
-    K_b box K_{a,a+1,a+1}.
+    cycle(n); cycle_product(k) for a product of k cycles;
+    complete_times_complete(a, b) for K_{a+1} box K_b;
+    complete_times_tripartite_aaa(a, b) for K_b box K_{a,a,a};
+    complete_times_tripartite_a_a1_a1(a, b) for K_b box K_{a,a+1,a+1}.
     """
     p = list(params)
     if family == "complete":
@@ -658,6 +649,11 @@ def kappa3_formula(family: str, params: Sequence[int]) -> int:
         if (a, b) == (1, 1):
             return 1 if c == 1 else 2
         return a + b if a + b <= c else (a + b + c) // 2
+    if family == "cycle":
+        (n,) = p
+        if n < 3:
+            raise ValueError("a cycle needs n >= 3")
+        return 1  # cycle_product with k = 1
     if family == "cycle_product":
         (k,) = p
         if k < 1:

@@ -345,12 +345,13 @@ def test_lemma34_budget_use_pinned():
     # BFS node, which raised it from 120 to 304; the greedy packer also
     # gives each value search its lower bound, which raised it to 454;
     # kappa_k keeping the bundle of the search that set its value, in place
-    # of packing the witness again, cut it to 444
+    # of packing the witness again, cut it to 444; rooting each greedy tree
+    # at a terminal, not at every vertex, cut it to 203
     g, h = _petersen(), complete(3)
     budget = Budget(10**9)
     cert = certify(g, h, [0, 3, 6], budget)
     assert cert.provenance == "3.4"
-    assert budget.used == 444
+    assert budget.used == 203
 
 
 def _pinned_certificates():

@@ -86,6 +86,23 @@ def test_kappa3_formula_unknown_family(tmp_path, capsys):
     assert run(["kappa3", str(p), "--mode", "formula"]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_kappa3_formula_cycle(tmp_path, capsys, n):
+    # detect_family labels C4 a cycle before K2,2; kappa3(Cn) = 1 either way
+    p = tmp_path / "cycle.el"
+    p.write_text(format_edge_list(cycle(n)))
+    assert run(["kappa3", str(p), "--mode", "formula"]) == 0
+    assert "kappa3 = 1" in capsys.readouterr().out
+
+
+def test_kappa3_refuses_a_header_above_the_vertex_limit(tmp_path, capsys):
+    # ten bytes must not make the parser build two million adjacency lists
+    p = tmp_path / "huge.el"
+    p.write_text("2000000 0\n")
+    assert run(["kappa3", str(p), "--mode", "bounds"]) == cli.EXIT_INPUT
+    assert "too large" in capsys.readouterr().err
+
+
 def test_kappa3_bounds_shuffled_product(tmp_path, capsys):
     # K4 □ C6 with shuffled ids and edge order; by Spacapan,
     # kappa(G □ H) = min(kappa(G)|H|, kappa(H)|G|, delta(G) + delta(H)).
@@ -266,6 +283,31 @@ def test_verify_rejects_product_too_large(tmp_path, capsys):
     cert.write_text(json.dumps(doc))
     assert run(["verify", str(cert)]) == cli.EXIT_INPUT
     assert "too large" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_large_product_before_building_a_factor(
+    tmp_path, capsys, monkeypatch
+):
+    # two edgeless factors of 10**6 vertices each: a short document whose
+    # factors would take gigabytes to build
+    built = []
+    monkeypatch.setattr(cli, "Graph", lambda *args: built.append(args))
+    factor = {"n": 10**6, "m": 0, "edges": [], "sha256": "0" * 64}
+    doc = {
+        "schema_version": 1,
+        "factors": {"g": factor, "h": factor},
+        "product_n": 10**12,
+        "product_m": 0,
+        "s": {"flat": [0, 1, 2], "pairs": [[0, 0], [0, 1], [0, 2]]},
+        "provenance": "search-fallback",
+        "claimed_bound": 1,
+        "trees": [[[0, 1], [1, 2]]],
+    }
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    assert run(["verify", str(cert)]) == cli.EXIT_INPUT
+    assert "too large" in capsys.readouterr().err
+    assert built == []
 
 
 def test_verify_rejects_bound_below_one(k3_file, tmp_path, capsys):

@@ -232,21 +232,23 @@ def test_pack_trees_counting_bound_decides_at_root():
     assert kappa_k(complete(7), 3, budget, use_symmetry=True)[0] == 5
     # 1,375 before the counting bound; 135 while pack_trees, not the
     # greedy packer, went first at the counting bound's r = 5; 178 while
-    # pack_trees packed the witness again at the end
-    assert budget.used == 76
+    # pack_trees packed the witness again at the end; 76 while the greedy
+    # packer tried every vertex as a tree's centre
+    assert budget.used == 66
 
 
 def test_kappa_k_of_k4_box_k4_pinned():
     # the 16-vertex product whose kappa3 `treeconn bounds` searches for K4
     # and K4; 691,679 ticks while pack_trees packed the witness again at
-    # the end
+    # the end; 28,953 while the greedy packer tried every vertex as a
+    # tree's centre
     budget = Budget()
     g = cartesian_product(complete(4), complete(4))
     value, witness, bundle = kappa_k(g, 3, budget, use_symmetry=True)
     assert (value, witness) == (5, (0, 1, 2))
     assert bundle.s == witness and len(bundle) == value
     assert verify_bundle(g.has_edge, bundle) is None
-    assert budget.used == 28_953
+    assert budget.used == 28_134
 
 
 def test_pack_trees_pairwise_flow_prune_pinned():
@@ -257,11 +259,12 @@ def test_pack_trees_pairwise_flow_prune_pinned():
     blocks = [(a, b) for lo in (0, 6) for a in range(lo, lo + 6) for b in range(a + 1, lo + 6)]
     g = Graph(14, blocks + [(x, c) for c in (12, 13) for x in range(12)])
     assert pack_trees(g, (0, 1, 6), 3, Budget(0)) is None
-    budget = Budget(253)  # without the check, 5 * 10**6 ticks do not decide it
+    budget = Budget(58)  # without the check, 5 * 10**6 ticks do not decide it
     assert max_internally_disjoint_trees(g, (0, 1, 6), budget)[0] == 2
     # 12 while pack_trees went down from r = 7; the greedy packer now
-    # places two trees and tries every centre for a third
-    assert budget.used == 253
+    # places two trees and tries every terminal for a third (253 while it
+    # tried every vertex as a centre)
+    assert budget.used == 58
 
 
 def test_pack_trees_k223_exhaustion_ticks_pinned():
@@ -322,7 +325,8 @@ def test_kappa_k_outputs_on_the_digest_graphs_pinned():
     # and without use_symmetry on the graphs of the pack_trees digest.  The
     # first digest was recorded while pack_trees packed the witness again
     # at the end; the second since the bundle is the one of the search
-    # that set the value
+    # that set the value, and re-recorded (from 39ea66e...) when the
+    # greedy packer began rooting each tree at a terminal
     values, bundles = hashlib.sha256(), hashlib.sha256()
     for g in _seeded_connected_graphs():
         for sym in (False, True):
@@ -335,7 +339,7 @@ def test_kappa_k_outputs_on_the_digest_graphs_pinned():
         "b5bd757a171dd969d232210fca879762afdbb608a22235d9197555079420002d"
     )
     assert bundles.hexdigest() == (
-        "39ea66ea6972428fcadb3efe29f04fd9ece63aa80cce67b197e2e31d2d96c6ce"
+        "f95a492e7fe027cff038122dd89836a60e6da65d368246f248967d670b15eb5b"
     )
 
 
