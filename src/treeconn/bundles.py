@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from .connectivity import (
     check_path,
-    max_disjoint_paths,
+    count_disjoint_paths,
     path_edges,
     simple_paths,
     vertex_connectivity,
@@ -177,7 +177,7 @@ def _search_bundle(
         if i == k:
             return choose_connectors(paths, used_edges)
         need, avoid = k - max(i, t), frozenset(used | {u3})
-        if len(max_disjoint_paths(g, u1, u2, need, avoid)) < need:
+        if count_disjoint_paths(g, u1, u2, need, avoid) < need:
             return None
         # ascending order within the through and the free paths kills
         # permutations

@@ -1,17 +1,20 @@
 """Menger-style primitives: vertex connectivity, internally disjoint path
-systems, and fans, all driven by one unit-capacity flow routine on the
-vertex-split digraph; plus `simple_paths`, the one simple-path enumerator
-that the bundle, packing and certificate searches share.
+systems and their count, and fans, all driven by one unit-capacity flow
+routine on the vertex-split digraph; plus `simple_paths`, the one simple-path
+enumerator that the bundle, packing and certificate searches share.
 
 No digraph is built: the flow reads each split node's arcs from the
 graph's sorted adjacency the first time a BFS reaches the node and keeps
 them for the rest of the call.  Its residual state is two lists indexed by
 split node, the heads and the tails of the flow-carrying arcs at each node,
 so a BFS skips saturated arcs and reads residual reverse arcs by set lookups
-at the node, without scanning the whole flow.  Vertex connectivity follows
-Esfahanian and Hakimi (Networks 14, 1984): flows run only from a
-minimum-degree vertex v to its non-neighbours and between non-adjacent
-neighbours of v, (n - delta - 1) + delta(delta - 1)/2 at most.
+at the node, without scanning the whole flow.  The flow is returned as the
+list of heads: its value is the number of heads at the source, so
+`count_disjoint_paths` (and through it `vertex_connectivity`) reads only
+that, and only `max_disjoint_paths` and `fan` decompose the flow into paths.
+Vertex connectivity follows Esfahanian and Hakimi (Networks 14, 1984): flows
+run only from a minimum-degree vertex v to its non-neighbours and between
+non-adjacent neighbours of v, (n - delta - 1) + delta(delta - 1)/2 at most.
 
 Determinism contract: augmenting paths are found by BFS exploring the
 residual arcs of each node in ascending node order, and flow decomposition
@@ -37,9 +40,11 @@ def _max_flow(
     avoid: frozenset[int],
     ends: frozenset[int] = frozenset(),
     shared: frozenset[int] = frozenset(),
-) -> set[tuple[int, int]]:
+) -> list[Optional[set[int]]]:
     """Unit-capacity max flow via BFS augmentation on the vertex-split
-    digraph of g minus `avoid`; returns the arcs that carry flow.
+    digraph of g minus `avoid`; returns `fwd`, the heads of the flow arcs
+    out of each split node (None where there are none).  The flow value is
+    len(fwd[s] or ()); only callers that need the paths `_decompose` it.
 
     Vertex v has in-node 2v and out-node 2v+1, and node 2n is free for a
     fan's auxiliary sink.  Each node's arcs are read from g.adj once per
@@ -101,30 +106,24 @@ def _max_flow(
                 back[y].add(x)
             y = x
         value += 1
-    return {(x, y) for x, heads in enumerate(fwd) if heads for y in heads}
+    return fwd
 
 
-def _decompose(flow: set[tuple[int, int]], s: int, t: int) -> list[list[int]]:
-    """Split-node flow -> list of original-vertex paths, lex-lowest first."""
-    succ: dict[int, list[int]] = {}
-    for x, y in flow:
-        succ.setdefault(x, []).append(y)
-    for x in succ:
-        succ[x].sort()
+def _decompose(fwd: list[Optional[set[int]]], s: int, t: int) -> list[list[int]]:
+    """The flow `fwd` from s to t as original-vertex paths, lex-lowest
+    first: each walk leaves a split node by its lowest unused flow arc."""
+    succ: dict[int, list[int]] = {}  # unused heads per node, descending
     paths = []
-    while succ.get(s):
-        node = succ[s].pop(0)
-        split_path = [s, node]
-        while node != t:
-            nxt = succ[node].pop(0)
-            split_path.append(nxt)
-            node = nxt
-        # Collapse split nodes to original vertices.
-        verts = []
-        for sn in split_path:
-            v = sn // 2
-            if not verts or verts[-1] != v:
-                verts.append(v)
+    for node in sorted(fwd[s] or ()):
+        verts = [s // 2]
+        while True:
+            if node // 2 != verts[-1]:  # collapse in(v), out(v) to v
+                verts.append(node // 2)
+            if node == t:
+                break
+            if node not in succ:
+                succ[node] = sorted(fwd[node], reverse=True)
+            node = succ[node].pop()
         paths.append(verts)
     return sorted(paths)
 
@@ -138,15 +137,32 @@ def max_disjoint_paths(
     shared: frozenset[int] = frozenset(),
 ) -> list[list[int]]:
     """Maximum family of internally disjoint u-v paths (capped at `need`),
-    avoiding the given internal vertices entirely.  The paths may share
-    vertices in `shared`, though never an edge; a path may then revisit
-    such a vertex, so only their number is meaningful."""
+    avoiding the given internal vertices entirely; with `fan`, the only
+    caller that decomposes the flow.  The paths may share vertices in
+    `shared`, though never an edge (see `count_disjoint_paths`)."""
     if u == v:
         raise ValueError("endpoints must differ")
-    flow = _max_flow(
-        g, 2 * u + 1, 2 * v, need, avoid - {u, v}, shared=shared - {u, v}
-    )
-    return _decompose(flow, 2 * u + 1, 2 * v)
+    fwd = _max_flow(g, 2 * u + 1, 2 * v, need, avoid - {u, v}, shared=shared - {u, v})
+    return _decompose(fwd, 2 * u + 1, 2 * v)
+
+
+def count_disjoint_paths(
+    g: Graph,
+    u: int,
+    v: int,
+    need: Optional[int] = None,
+    avoid: frozenset[int] = frozenset(),
+    shared: frozenset[int] = frozenset(),
+) -> int:
+    """len(max_disjoint_paths(g, u, v, need, avoid, shared)), read from the
+    flow value without decomposing it.  Vertices in `shared` may lie on any
+    number of the paths, each of their edges on one; a path may then
+    revisit such a vertex, so with `shared` only this number is
+    meaningful."""
+    if u == v:
+        raise ValueError("endpoints must differ")
+    fwd = _max_flow(g, 2 * u + 1, 2 * v, need, avoid - {u, v}, shared=shared - {u, v})
+    return len(fwd[2 * u + 1] or ())
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -164,7 +180,7 @@ def vertex_connectivity(g: Graph) -> int:
     pairs += [(a, b) for a, b in combinations(nbrs, 2) if not g.has_edge(a, b)]
     best = len(nbrs)
     for a, b in pairs:
-        best = min(best, len(max_disjoint_paths(g, a, b, need=best)))
+        best = min(best, count_disjoint_paths(g, a, b, need=best))
     return best
 
 
@@ -273,10 +289,10 @@ def fan(
     sink = 2 * g.n  # single auxiliary sink node (no split needed)
     # Members of Y may terminate paths but not be passed through; their only
     # exit is the arc to the auxiliary sink.
-    flow = _max_flow(g, 2 * x + 1, sink, r, avoid, ends=frozenset(y))
+    fwd = _max_flow(g, 2 * x + 1, sink, r, avoid, ends=frozenset(y))
     # Every path ends in the auxiliary sink; dropping it keeps the order,
     # since no path runs through another's terminal.
-    paths = [p[:-1] for p in _decompose(flow, 2 * x + 1, sink)]
+    paths = [p[:-1] for p in _decompose(fwd, 2 * x + 1, sink)]
     if len(paths) < r:
         return None
     result = Fan(x, y, tuple(tuple(p) for p in paths))

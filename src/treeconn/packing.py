@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import AbstractSet, Callable, Iterator, Optional, Sequence
 
-from .connectivity import max_disjoint_paths, path_edges, simple_paths
+from .connectivity import count_disjoint_paths, path_edges, simple_paths
 from .errors import Budget
 from .graphs import Edge, Graph, norm_edge
 
@@ -221,10 +221,7 @@ def _feasible(
         avoid = frozenset(banned_v)
         sset = frozenset(terms)
         for a, b in combinations(terms, 2):
-            got = len(
-                max_disjoint_paths(residual, a, b, need=rem, avoid=avoid, shared=sset)
-            )
-            if got < rem:
+            if count_disjoint_paths(residual, a, b, rem, avoid, sset) < rem:
                 return False
     return True
 

@@ -265,7 +265,8 @@ def test_verify_detects_product_m_off_by_one(k3_file, tmp_path, capsys):
 
 def test_verify_rejects_product_too_large(tmp_path, capsys):
     # P_1001 box P_1001 exceeds MAX_PRODUCT_VERTICES; the document is
-    # otherwise consistent, so verification reaches the product build
+    # otherwise consistent, and the loader refuses it from the declared
+    # factor sizes
     p = path(1001)
     factor = {"n": p.n, "m": p.m, "edges": [list(e) for e in p.sorted_edges()],
               "sha256": p.sha256()}

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeconn import connectivity
+from treeconn.bundles import find_reduced_bundle
 from treeconn.connectivity import (
     Fan,
     check_path,
+    count_disjoint_paths,
     fan,
     kappa3_range_from_kappa,
     kappa3_upper_adjacent_min_degree,
@@ -23,6 +25,7 @@ from treeconn.graphs import (
     cycle,
     path,
 )
+from treeconn.packing import kappa_k
 
 
 # -- independent oracle: smallest vertex cut by exhaustive enumeration -----
@@ -393,16 +396,50 @@ def test_vertex_connectivity_flow_count(monkeypatch):
     # one flow per nonadjacent pair would be 1,824 here.
     g = cartesian_product(complete_bipartite(4, 4), cycle(8))
     calls = 0
-    real = connectivity.max_disjoint_paths
+    real = connectivity.count_disjoint_paths
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(connectivity, "max_disjoint_paths", counting)
+    monkeypatch.setattr(connectivity, "count_disjoint_paths", counting)
     assert vertex_connectivity(g) == 6
     n, delta = g.n, g.min_degree()
     bound = (n - delta - 1) + delta * (delta - 1) // 2
     assert bound == 72
-    assert calls <= bound
+    assert 0 < calls <= bound
+
+
+def test_count_disjoint_paths_matches_path_count():
+    rng = random.Random(19)
+    for _ in range(150):
+        n = rng.randint(4, 16)
+        p = rng.choice((0.25, 0.4, 0.6))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for _ in range(4):
+            u, v = rng.sample(range(n), 2)
+            rest = [w for w in range(n) if w not in (u, v)]
+            # avoid may name u or v: both functions drop them
+            avoid = frozenset(w for w in range(n) if rng.random() < 0.15)
+            shared = frozenset(w for w in rest if w not in avoid and rng.random() < 0.2)
+            need = rng.choice((None, 1, 2, 3, 5))
+            for sh in (frozenset(), shared):
+                want = len(max_disjoint_paths(g, u, v, need, avoid, sh))
+                assert count_disjoint_paths(g, u, v, need, avoid, sh) == want
+
+
+def test_count_disjoint_paths_rejects_equal_endpoints():
+    with pytest.raises(ValueError):
+        count_disjoint_paths(complete(3), 0, 0)
+
+
+def test_count_only_callers_never_decompose(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count-only caller decomposed a flow")
+
+    monkeypatch.setattr(connectivity, "_decompose", refuse)
+    g = cartesian_product(complete_bipartite(4, 4), cycle(8))
+    assert vertex_connectivity(g) == 6
+    assert kappa_k(cartesian_product(complete(3), complete(3)), 3)[0] == 3
+    assert find_reduced_bundle(_petersen(), 3, 0, 1, 2) is not None
