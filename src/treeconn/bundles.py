@@ -231,7 +231,9 @@ def _assign_connectors(
     budget: Budget,
 ) -> Optional[list[list[int]]]:
     """Connector i must terminate on free[i]; internal vertices avoid all
-    free paths, the designated paths' interiors, and each other."""
+    free paths (the other free paths are banned, and `simple_paths` never
+    passes through its goals), the designated paths' interiors, and each
+    other."""
 
     def rec(i: int, used_internal: set[int], used_edges: set[tuple[int, int]]):
         if i == n_conn:
@@ -242,8 +244,6 @@ def _assign_connectors(
         )
         for mp in simple_paths(g, u3, target, banned, budget):
             inner = set(mp[1:-1])
-            if inner & x_all:
-                continue
             medges = set(path_edges(mp))
             if medges & used_edges or medges & path_edge_set:
                 continue

@@ -3,10 +3,19 @@ of Cartesian products.
 
 Given factors G, H and a 3-set S in the product, the generators build an
 explicit family of internally disjoint S-trees realizing the applicable
-lower bound.  Each construction assembles trees as unions of fiber pieces
-(paths, fans, whole fibers), materializes them (spanning tree + leaf trim),
-and re-verifies the whole bundle; on any hypothesis failure it falls back
-to exact search on the product, tagged "search-fallback".  The product
+lower bound.  As in the paper, G and H must be connected with at least two
+vertices each: `classify_position`, run first by every construction,
+raises ValueError otherwise.  A k-connected factor then joins any two
+vertices by k internally disjoint paths (Menger; a direct edge counts),
+and any vertex to any k others by a k-fan (the fan lemma), so those path
+systems are used as the flow returns them, unchecked.  Only the paper's
+own hypotheses are checked: kappa >= 2 (resp. 3) where a step needs it,
+a pair of S's coordinates that is not adjacent (Lemma 3.1 case 1), H - X
+connected (Lemmas 3.1-3.3) and Lemma 4.1's bundle shapes.  Each
+construction assembles trees as unions of fiber pieces (paths, fans, whole
+fibers), materializes them (spanning tree + leaf trim) and re-verifies the
+whole bundle; when a hypothesis fails or the trees are rejected, it falls
+back to exact search on the product, tagged "search-fallback".  The product
 graph is built only where a search runs on it: by that fallback, and as
 the 3x3 grid G[us] box H[vs] that Lemma 3.1 case 2 packs in.
 `Certificate.verify` reads product adjacency from the factors.  Each
@@ -33,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 from .bundles import _segments_triple, find_reduced_bundle
 from .connectivity import fan, max_disjoint_paths, vertex_connectivity
 from .errors import Budget, BudgetExhausted
-from .graphs import Edge, Graph, cartesian_product, flat_id, norm_edge
+from .graphs import Edge, Graph, cartesian_product, complete, flat_id, norm_edge
 from .packing import (
     STree,
     STreeBundle,
@@ -61,6 +70,10 @@ class SPosition:
 
 
 def classify_position(g: Graph, h: Graph, s: Sequence[int]) -> SPosition:
+    """Where S sits in G box H, after refusing the factors the paper
+    excludes (the constructions' one precondition)."""
+    if any(f.n < 2 or not f.is_connected() for f in (g, h)):
+        raise ValueError("factors must be connected with at least two vertices")
     sset = sorted(set(s))
     if len(sset) != 3:
         raise ValueError("S must contain three distinct vertices")
@@ -181,13 +194,11 @@ def _materialize(edges: set[Edge], terminals: set[int]) -> Optional[STree]:
     spanning tree with its non-terminal leaves trimmed.
 
     Returns None when the union fails to connect the terminals."""
-    adj: dict[int, list[int]] = {}
+    root = min(terminals)
+    adj: dict[int, list[int]] = {root: []}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    root = min(terminals)
-    if root not in adj:
-        return None
     parent: dict[int, int] = {root: root}
     queue = [root]
     for x in queue:
@@ -202,7 +213,7 @@ def _materialize(edges: set[Edge], terminals: set[int]) -> Optional[STree]:
         while t != root and norm_edge(t, parent[t]) not in tree:
             tree.add(norm_edge(t, parent[t]))
             t = parent[t]
-    return STree(frozenset(tree)) if tree else None
+    return STree(frozenset(tree))
 
 
 # -- fallback and finishing ------------------------------------------------
@@ -227,17 +238,12 @@ def _finish(
     claimed: int,
     budget: Optional[Budget],
 ) -> Certificate:
-    """Materialize + verify, falling back to search when anything is off."""
+    """Materialize + verify (which counts the trees), falling back to search
+    when either rejects them."""
     terms = tuple(sorted(s))
     if tree_edge_sets is not None:
-        trees = []
-        for es in tree_edge_sets:
-            t = _materialize(es, set(terms))
-            if t is None:
-                trees = None
-                break
-            trees.append(t)
-        if trees is not None and len(trees) >= claimed:
+        trees = [_materialize(es, set(terms)) for es in tree_edge_sets]
+        if None not in trees:
             bundle = STreeBundle(terms, tuple(trees))
             cert = Certificate(g, h, terms, bundle, tag, claimed)
             if cert.verify() is None:
@@ -285,54 +291,33 @@ def _lemma31_case1(
 ) -> Optional[tuple[list[set[Edge]], str]]:
     """Lemma 3.1 case 1 in the orientation (cg, ch): `hpath` and `gpath`
     copy ch- and cg-paths into G box H flat ids (see `_orientations`)."""
-    if l < 1:
-        return None
-    paths = max_disjoint_paths(ch, v1, v2, need=l)
-    if len(paths) < l:
-        return None
-    # the (unique) path through v3 goes last, so v3 avoids P_1..P_{l-1}
-    clean = [p for p in paths if v3 not in p]
-    tainted = [p for p in paths if v3 in p]
-    if len(tainted) > 1:
-        return None
-    hp = clean + tainted
-    preds = [p[-2] for p in hp[: l - 1]]
-    x_set = set(preds)
-    if len(x_set) != l - 1 or x_set & {v1, v2, v3}:
-        return None
+    # the (at most one) path through v3 goes last, so X, the predecessors
+    # of v2 on P_1..P_{l-1}, holds l - 1 inner vertices other than v3
+    hp = sorted(max_disjoint_paths(ch, v1, v2, need=l), key=lambda p: v3 in p)
+    x_set = {p[-2] for p in hp[: l - 1]}
     if not ch.is_connected(avoid=frozenset(x_set)):
         return None
-    fan_h = fan(ch, v3, x_set | {v1}, l)
-    if fan_h is None:
-        return None
-    hq = {p[-1]: p for p in fan_h.paths}
+    hq = {p[-1]: p for p in fan(ch, v3, x_set | {v1}, l).paths}
     trees = [_rung_tree(hpath, gpath, cg, p, (u1, u2, u3), hq, m) for p in hp[: l - 1]]
 
     gp = max_disjoint_paths(cg, u1, u2, need=k)
-    if len(gp) < k:
-        return None
     direct = [r for r in gp if len(r) == 2]
     via3 = [r for r in gp if r[-2] == u3]
     rest = [r for r in gp if len(r) > 2 and r[-2] != u3]
     if via3:  # the u3-predecessor path must take the last slot
         tail = (direct[0] if direct else rest.pop()), via3[0]
+    elif direct:
+        tail = direct[0], rest.pop()
     else:
-        if direct:
-            tail = direct[0], rest.pop()
-        else:
-            tail = rest.pop(-2), rest.pop()
+        tail = rest.pop(-2), rest.pop()
     gq = rest + list(tail)
     case12 = bool(via3)
     # case 1.1 fans out to every G-predecessor but the (k-1)th; in case 1.2
     # the last path runs through u3, so it is left out and u1 is avoided
     idx = list(range(k - 2)) + ([] if case12 else [k - 1])
     targets = {gq[j][-2] for j in idx} | {u2}
-    if len(targets) != len(idx) + 1 or targets & {u1, u3}:
-        return None
-    fan_g = fan(cg, u3, targets, len(targets), avoid=frozenset({u1} if case12 else ()))
-    if fan_g is None:
-        return None
-    sp = {p[-1]: p for p in fan_g.paths}
+    avoid = frozenset({u1} if case12 else ())
+    sp = {p[-1]: p for p in fan(cg, u3, targets, len(targets), avoid=avoid).paths}
     trees += [_rung_tree(gpath, hpath, ch, gq[j], (v1, v2, v3), sp, m, x_set) for j in idx]
     trees.append(  # the tree through u2
         gpath(gq[k - 2], v1, m) | _fiber(hpath, ch, u2, m, x_set) | gpath(sp[u2], v3, m)
@@ -351,27 +336,25 @@ def _lemma31_case1(
 def _lemma31_case2(
     g: Graph, h: Graph, pairs: Sequence[tuple[int, int]], k: int, l: int,
     budget: Optional[Budget],
-) -> Optional[list[set[Edge]]]:
+) -> list[set[Edge]]:
     """Both coordinate triples induce triangles: pack 3 trees inside the
     9-vertex induced subgraph, then thread the remaining k-2 and l-2 trees
     around it."""
     (u1, v1), (u2, v2), (u3, v3) = pairs
     m = h.n
-    # G[us] box H[vs] is the product's induced 3x3 grid, labelled in the
-    # order of the grid's flat ids
-    gs, us = g.induced_subgraph((u1, u2, u3))
-    hs, vs = h.induced_subgraph((v1, v2, v3))
+    # G[us] box H[vs] is the product's induced 3x3 grid, K3 box K3 (whose
+    # kappa_3 is 3), labelled in the order of the grid's flat ids
+    us, vs = sorted((u1, u2, u3)), sorted((v1, v2, v3))
     grid = [flat_id(u, v, m) for u in us for v in vs]
     s_local = [grid.index(flat_id(u, v, m)) for u, v in pairs]
-    packed = pack_trees(cartesian_product(gs, hs), s_local, 3, budget)
-    if packed is None:
-        return None
+    packed = pack_trees(cartesian_product(complete(3), complete(3)), s_local, 3, budget)
     trees: list[set[Edge]] = [
         {norm_edge(grid[a], grid[b]) for a, b in t.edges} for t in packed.trees
     ]
 
     # the H pass threads l - 2 trees through G-layers; the G pass threads
-    # k - 2 through H-fibers minus the predecessors the H pass used
+    # k - 2 through H-fibers minus the predecessors the H pass used; f - a3
+    # minus the edge a1a2 is (r-2)-connected
     x_set: set[int] = set()
     for f, other, r, ends, homes, along, across in (
         (h, g, l, (v1, v2, v3), (u1, u2, u3), _hpath, _gpath),
@@ -381,16 +364,9 @@ def _lemma31_case2(
             continue
         a1, a2, a3 = ends
         f2 = Graph(f.n, f.edges - {norm_edge(a1, a2)})
-        ps = max_disjoint_paths(f2, a1, a2, need=r - 2, avoid=frozenset({a3}))[: r - 2]
-        if len(ps) < r - 2:
-            return None
+        ps = max_disjoint_paths(f2, a1, a2, need=r - 2, avoid=frozenset({a3}))
         preds = {p[-2] for p in ps}
-        if len(preds) != r - 2 or preds & {a1, a2, a3}:
-            return None
-        fan_f = fan(f, a3, preds, r - 2, avoid=frozenset({a1, a2}))
-        if fan_f is None:
-            return None
-        fp = {q[-1]: q for q in fan_f.paths}
+        fp = {q[-1]: q for q in fan(f, a3, preds, r - 2, avoid=frozenset({a1, a2})).paths}
         trees += [_rung_tree(along, across, other, p, homes, fp, m, x_set) for p in ps]
         x_set = preds
     return trees
@@ -424,15 +400,13 @@ def construct_lemma32(
 def _h_opening(
     h: Graph, v1: int, v2: int, l: int
 ) -> Optional[tuple[list[list[int]], set[int]]]:
-    """Lemmas 3.2 and 3.3 open alike: l disjoint v1-v2 paths in H, direct edge
-    last, and X, the second vertices of the first l - 1, with v2 outside X
-    and H - X connected; None when that fails."""
-    hp = max_disjoint_paths(h, v1, v2, need=l)
-    if len(hp) < l:
-        return None
-    hp = [p for p in hp if len(p) > 2] + [p for p in hp if len(p) == 2]
+    """Lemmas 3.2 and 3.3 open alike: l disjoint v1-v2 paths in H, which
+    Menger guarantees, direct edge last, and X, the second vertices of the
+    first l - 1, all inner vertices.  None when H - X is disconnected, the
+    one hypothesis the lemmas add."""
+    hp = sorted(max_disjoint_paths(h, v1, v2, need=l), key=lambda p: len(p) == 2)
     x_set = {p[1] for p in hp[: l - 1]}
-    if v2 in x_set or not h.is_connected(avoid=frozenset(x_set)):
+    if not h.is_connected(avoid=frozenset(x_set)):
         return None
     return hp, x_set
 
@@ -442,10 +416,7 @@ def _lemma32_build(g, h, u1, u2, v1, v2, m, k, l) -> Optional[list[set[Edge]]]:
     if opening is None:
         return None
     hp, x_set = opening
-    gp = max_disjoint_paths(g, u1, u2, need=k)
-    if len(gp) < k:
-        return None
-    gp = [q for q in gp if len(q) > 2] + [q for q in gp if len(q) == 2]
+    gp = sorted(max_disjoint_paths(g, u1, u2, need=k), key=lambda q: len(q) == 2)
     # every tree but the last: a path joining two terminals at home, and the
     # star at the path's second vertex, whose rung reaches the third terminal
     trees: list[set[Edge]] = []
@@ -498,26 +469,14 @@ def _lemma33_build(
         for p in hp[: l - 1]
     ]
     gp = max_disjoint_paths(cg, u1, u2, need=k)
-    if len(gp) < k:
-        return None
     if k == 1:  # a lone G-path: u3 reaches u2 by any path
-        r = max_disjoint_paths(cg, u3, u2, need=1)
-        if not r:
-            return None
-        gq, ends, rp = gp, [u2], {u2: r[0]}
+        gq, ends = gp, [u2]
+        rp = {u2: max_disjoint_paths(cg, u3, u2, need=1)[0]}
     else:
-        good = [q for q in gp if q[1] not in (u2, u3)]
-        bad = [q for q in gp if q[1] in (u2, u3)]
-        if len(good) < k - 2:
-            return None
-        gq = good + bad
+        # at most one path starts with u2 (the bare edge), one with u3
+        gq = sorted(gp, key=lambda q: q[1] in (u2, u3))
         ends = [q[1] for q in gq[: k - 2]] + [u1, u2]
-        if len(set(ends)) != k or u3 in ends:
-            return None
-        fan_g = fan(cg, u3, ends, k)
-        if fan_g is None:
-            return None
-        rp = {p[-1]: p for p in fan_g.paths}
+        rp = {p[-1]: p for p in fan(cg, u3, ends, k).paths}
     for q, x in zip(gq, ends):
         trees.append(gpath(q, v1, m) | _fiber(hpath, ch, x, m, x_set) | gpath(rp[x], v2, m))
     return trees

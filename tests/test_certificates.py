@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from treeconn import certificates
+from treeconn.bundles import OriginalPathBundle, ReducedPathBundle, verify_reduced_bundle
 from treeconn.certificates import (
     Certificate,
     certify,
@@ -68,6 +69,21 @@ def test_classify_rejects_bad_s():
         classify_position(g, h, (0, 1))
     with pytest.raises(ValueError):
         classify_position(g, h, (0, 1, 99))
+    # the factors the paper excludes: a disconnected one and a trivial one
+    with pytest.raises(ValueError, match="connected with at least two"):
+        classify_position(Graph(4, [(0, 1), (2, 3)]), h, (0, 1, 2))
+    with pytest.raises(ValueError, match="connected with at least two"):
+        classify_position(g, Graph(1, []), (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [certify, construct_lemma31, construct_lemma32, construct_lemma33,
+     construct_lemma34, construct_lemma41],
+)
+def test_constructions_refuse_a_disconnected_factor(make):
+    with pytest.raises(ValueError, match="connected with at least two"):
+        make(Graph(2, []), path(2), (0, 1, 2))
 
 
 # -- the five constructions -------------------------------------------------
@@ -321,6 +337,36 @@ def test_lemma41_exhausted_budget_falls_back(monkeypatch):
     cert = certify(*_same_h_fiber_case())
     _check(cert)
     assert cert.provenance == "search-fallback"
+
+
+def test_a_failed_fan_raises_instead_of_falling_back(monkeypatch):
+    # Lemma 3.3's fan exists whenever the factors are connected, so a flow
+    # that fails to find it is a fault, not a reason for search-fallback
+    monkeypatch.setattr(certificates, "fan", lambda *args, **kwargs: None)
+    g = h = complete(3)
+    with pytest.raises(AttributeError):
+        certify(g, h, _s(g, h, [(0, 0), (1, 0), (2, 1)]))
+
+
+def test_lemma41_fewer_neighbours_than_groups(monkeypatch):
+    # delta(u1) = 1 < t - 2 = 2: one neighbour group, then a braid over
+    # through-paths 1 and 2 and through-path 3 alone; the hand-built
+    # (8, 4)-bundle of K8,12 (parts 0..7 | 8..19) has no connectors
+    h = complete_bipartite(8, 12)
+    through = tuple((0, 8 + 2 * i, 2, 9 + 2 * i, 1) for i in range(4))
+    free = tuple((0, 16 + i, 1) for i in range(4))
+    rb = ReducedPathBundle(OriginalPathBundle(0, 1, 2, 4, through + free), ())
+    assert verify_reduced_bundle(h, rb) is None
+
+    def no_fallback(*args):
+        raise AssertionError("fell back to search")
+
+    monkeypatch.setattr(certificates, "find_reduced_bundle", lambda *args, **kwargs: rb)
+    monkeypatch.setattr(certificates, "_fallback", no_fallback)
+    cert = construct_lemma41(path(2), h, (0, 1, 2), t=4)
+    assert cert.verify() is None
+    assert cert.provenance == "4.1/case2.1"
+    assert cert.claimed_bound == certificates._bound41(8, 1, 4) == len(cert.bundle) == 7
 
 
 # -- caller's budget and pinned bytes --------------------------------------

@@ -196,6 +196,13 @@ def test_internal_fault_exit(k3_file, monkeypatch, capsys):
     assert "internal: invalid bundle found" in capsys.readouterr().err
 
 
+def test_failed_fan_exits_internal(k3_file, monkeypatch, capsys):
+    # a fan the fan lemma guarantees is missing: a fault, not a fallback
+    monkeypatch.setattr(certificates, "fan", lambda *args, **kwargs: None)
+    assert run(["certify", k3_file, k3_file, "--s", "0,0;1,0;2,1"]) == cli.EXIT_INTERNAL
+    assert "internal: " in capsys.readouterr().err
+
+
 def test_certify_bad_s_spec(k3_file):
     assert run(["certify", k3_file, k3_file, "--s", "0,0;1,1"]) == cli.EXIT_INPUT
     assert run(["certify", k3_file, k3_file, "--s", "0,0;1,1;9,9"]) == cli.EXIT_INPUT
@@ -411,6 +418,41 @@ def test_verify_rejects_terminals_outside_the_product(k3_file, tmp_path, capsys,
     assert "outside" in capsys.readouterr().err
 
 
+def _flat_ids(doc):
+    doc["s"]["flat"] = doc["s"]["flat"][:2]
+
+
+def _pairs(doc):
+    doc["s"]["pairs"] = doc["s"]["pairs"][::-1]
+
+
+def _self_loop(doc):
+    doc["factors"]["g"]["edges"][0] = [0, 0]
+
+
+def _factor_m(doc):
+    doc["factors"]["g"]["m"] += 1
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda doc: doc.update(schema_version=99), "unsupported schema_version 99"),
+        (_flat_ids, "terminal set must list three flat ids"),
+        (_pairs, "terminal pairs disagree with flat ids"),
+        (_self_loop, "bad factor g: self-loop at vertex 0"),
+        (_factor_m, "factor g: edge count disagrees with header"),
+    ],
+    ids=["schema-version", "two-flat-ids", "pairs", "self-loop", "factor-m"],
+)
+def test_verify_refuses_a_malformed_document(k3_file, tmp_path, capsys, mutate, message):
+    cert, doc = _k3_document(k3_file, tmp_path)
+    mutate(doc)
+    cert.write_text(json.dumps(doc))
+    assert run(["verify", str(cert)]) == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 # -- bounds -----------------------------------------------------------------
 
 
@@ -428,6 +470,15 @@ def test_bounds_k4_k4_exact_at_the_product_limit(tmp_path, capsys):
     p.write_text(format_edge_list(complete(4)))
     assert run(["bounds", str(p), str(p)]) == 0
     assert "exact kappa3 = 5 (tight)" in capsys.readouterr().out
+
+
+def test_bounds_exact_budget_exhausted(tmp_path, capsys):
+    # kappa3 of each K4 factor takes 21 ticks; exact kappa3 of K4 box K4
+    # needs 28,134
+    p = tmp_path / "k4.el"
+    p.write_text(format_edge_list(complete(4)))
+    assert run(["bounds", str(p), str(p), "--budget", "100"]) == cli.EXIT_BUDGET
+    assert "exact kappa3: budget exhausted" in capsys.readouterr().out
 
 
 def test_bounds_p2_p2(tmp_path, capsys):

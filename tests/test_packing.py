@@ -607,6 +607,19 @@ def test_formula_complete_and_cycle_product():
     assert kappa3_formula("complete_times_complete", [2, 3]) == 3
 
 
+def test_formula_matches_search_complete_times_tripartite():
+    # K_b box K_{a,a,a} and K_b box K_{a,a+1,a+1}
+    for family, (a, b), parts in [
+        ("complete_times_tripartite_aaa", (1, 2), (1, 1, 1)),
+        ("complete_times_tripartite_aaa", (1, 3), (1, 1, 1)),
+        ("complete_times_tripartite_aaa", (2, 2), (2, 2, 2)),
+        ("complete_times_tripartite_a_a1_a1", (1, 2), (1, 2, 2)),
+        ("complete_times_tripartite_a_a1_a1", (1, 3), (1, 2, 2)),
+    ]:
+        g = cartesian_product(complete(b), complete_tripartite(*parts))
+        assert kappa3_formula(family, [a, b]) == kappa3(g, use_symmetry=True)
+
+
 def test_formula_rejects_bad_input():
     with pytest.raises(ValueError):
         kappa3_formula("complete", [2])
