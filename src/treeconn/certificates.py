@@ -74,6 +74,11 @@ def classify_position(g: Graph, h: Graph, s: Sequence[int]) -> SPosition:
     excludes (the constructions' one precondition)."""
     if any(f.n < 2 or not f.is_connected() for f in (g, h)):
         raise ValueError("factors must be connected with at least two vertices")
+    return _position(g, h, s)
+
+
+def _position(g: Graph, h: Graph, s: Sequence[int]) -> SPosition:
+    """Where S sits in G box H, the factors unchecked."""
     sset = sorted(set(s))
     if len(sset) != 3:
         raise ValueError("S must contain three distinct vertices")
@@ -747,6 +752,6 @@ _CONSTRUCTORS = {
 def certify(
     g: Graph, h: Graph, s: Sequence[int], budget: Optional[Budget] = None
 ) -> Certificate:
-    """Classify the position of S and run the matching construction."""
-    pos = classify_position(g, h, s)
-    return _CONSTRUCTORS[pos.label](g, h, s, budget)
+    """Classify the position of S and run the matching construction, which
+    refuses the factors the paper excludes."""
+    return _CONSTRUCTORS[_position(g, h, s).label](g, h, s, budget)

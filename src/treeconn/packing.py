@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from typing import AbstractSet, Callable, Iterator, Optional, Sequence
 
 from .connectivity import count_disjoint_paths, path_edges, simple_paths
@@ -453,30 +453,33 @@ def automorphism_generators(
     automorphism that fixes 0..i-1 and maps i to c.  The first one found
     joins the generators, and the orbit is closed again.  Afterwards the
     generators with base point >= i generate the stabilizer of 0..i-1.
-    One budget tick per search node.
+    Distances are computed once, each vertex's distance to every prefix
+    0..i as running minima along its row.  One budget tick per search node.
     """
     if budget is None:
         budget = Budget()
-    dist = [_distances(g, v) for v in range(g.n)]
+    n = g.n
+    dist = [_distances(g, v) for v in range(n)]
+    near = [list(accumulate(row, min)) for row in dist]
+    nbrs = [frozenset(ys) for ys in g.adj]
     gens: list[tuple[int, ...]] = []
-    for i in range(g.n - 2, -1, -1):
-        search = _stabilizer_search(g, dist, i, budget)
+    for i in range(n - 2, -1, -1):
+        search = _stabilizer_search(g, dist, near, nbrs, i, budget)
         orbit = {i}
-        for c in range(i + 1, g.n):
+        for c in range(i + 1, n):
             if c not in orbit and (perm := search(c)) is not None:
                 gens.append(perm)
-                orbit = _orbit(i, gens, lambda p, x: p[x])
+                orbit = _orbit(i, gens)
     return gens
 
 
-def _orbit(start, gens: Sequence[tuple[int, ...]], image: Callable) -> set:
-    """The orbit of `start` under the generators; `image(p, x)` is the
-    image of x under the permutation p."""
+def _orbit(start: int, gens: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of the point `start` under the generators."""
     orbit = {start}
     frontier = [start]
     for x in frontier:
         for p in gens:
-            y = image(p, x)
+            y = p[x]
             if y not in orbit:
                 orbit.add(y)
                 frontier.append(y)
@@ -484,43 +487,50 @@ def _orbit(start, gens: Sequence[tuple[int, ...]], image: Callable) -> set:
 
 
 def _distances(g: Graph, v: int) -> list[int]:
-    """BFS distance from v to every vertex, -1 where unreachable."""
-    dist = [-1] * g.n
+    """BFS distance from v to every vertex, n = |V| where unreachable."""
+    n = g.n
+    dist = [n] * n
     dist[v] = 0
     queue = [v]
     for x in queue:
-        for y in g.neighbors(x):
-            if dist[y] < 0:
+        for y in g.adj[x]:
+            if dist[y] == n:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
 
 
 def _stabilizer_search(
-    g: Graph, dist: list[list[int]], i: int, budget: Budget
+    g: Graph, dist: list[list[int]], near: list[list[int]],
+    nbrs: list[frozenset[int]], i: int, budget: Budget,
 ) -> Callable[[int], Optional[tuple[int, ...]]]:
     """search(c): the first automorphism found that fixes 0..i-1 and maps
     i to c, or None.
 
-    Vertices are placed in BFS order from {0..i} (by distance from that
-    set, then by label), so a vertex with a placed neighbour y may only map
-    into the neighbours of y's image.  An automorphism keeps distances, so
-    a candidate image must match the vertex's degree, its distances to
-    0..i-1, its distance to i as a distance to c, and its adjacency to
-    every placed vertex.
+    The root places i on c.  The other vertices are placed in BFS order
+    from {0..i} (by distance from that set, `near[x][i]`, then by label),
+    so a vertex with a placed neighbour y may only map into the neighbours
+    of y's image.  An automorphism keeps degrees and distances, so an image
+    must lie in the vertex's cell (the same degree and distances to
+    0..i-1), match its distance to i as a distance to c, and have as
+    placed neighbours (`nbrs` over the set `used`) exactly the images of
+    the vertex's placed neighbours.
     """
-    n = g.n
-    near = [min((d for d in row[: i + 1] if d >= 0), default=n) for row in dist]
-    order = sorted(range(n), key=lambda x: (near[x], x))
+    n, adj = g.n, g.adj
+    order = sorted(range(n), key=lambda x: (near[x][i], x))
     rank = {v: r for r, v in enumerate(order)}
-    earlier = [[y for y in g.neighbors(x) if rank[y] < rank[x]] for x in range(n)]
-    # vertices in different cells differ in their distances to 0..i-1
+    earlier = [[y for y in adj[x] if rank[y] < rank[x]] for x in range(n)]
     cells: dict[tuple[int, ...], int] = {}
-    cell = [cells.setdefault(tuple(row[:i]), len(cells)) for row in dist]
+    cell = [cells.setdefault((len(nbrs[v]), *dist[v][:i]), len(cells)) for v in range(n)]
+    fixed = frozenset(range(i))
+    root = nbrs[i] & fixed
 
     def search(c: int) -> Optional[tuple[int, ...]]:
-        perm = list(range(i)) + [-1] * (n - i)
-        used = [v < i for v in range(n)]
+        budget.tick()
+        if cell[c] != cell[i] or nbrs[c] & fixed != root:
+            return None
+        perm = [*range(i), c] + [-1] * (n - i - 1)
+        used = {*fixed, c}
         to_c, to_i = dist[c], dist[i]
 
         def rec(pos: int) -> bool:
@@ -529,29 +539,24 @@ def _stabilizer_search(
                 return True
             x = order[pos]
             back = earlier[x]
-            if pos == i:
-                cands: Sequence[int] = (c,)
-            else:
-                cands = g.neighbors(perm[back[0]]) if back else range(n)
-            for cand in cands:
+            want = {perm[y] for y in back}
+            for cand in adj[perm[back[0]]] if back else range(n):
                 if (
-                    used[cand]
-                    or g.degree(cand) != g.degree(x)
+                    cand in used
                     or cell[cand] != cell[x]
                     or to_c[cand] != to_i[x]
-                    or sum(1 for z in g.neighbors(cand) if used[z]) != len(back)
-                    or any(not g.has_edge(cand, perm[y]) for y in back)
+                    or nbrs[cand] & used != want
                 ):
                     continue
                 perm[x] = cand
-                used[cand] = True
+                used.add(cand)
                 if rec(pos + 1):
                     return True
-                used[cand] = False
+                used.discard(cand)
             perm[x] = -1
             return False
 
-        return tuple(perm) if rec(i) else None
+        return tuple(perm) if rec(i + 1) else None
 
     return search
 
@@ -562,13 +567,23 @@ def subset_orbit_reps(
     """Lexicographically-least representative of each k-subset orbit under
     the group the generators `gens` generate, in `combinations` order.
 
-    A subset not in the orbit of an earlier one is the least of its own."""
+    A subset not in the orbit of an earlier one is the least of its own.
+    Subsets are numbered in `combinations` order and keyed by bitmask; a
+    generator p permutes the numbers, its image masks summed by
+    `combinations` over the bits 1 << p[v], and orbits are point orbits."""
+    n = g.n
+    masks = map(sum, combinations([1 << v for v in range(n)], k))
+    index = {m: j for j, m in enumerate(masks)}
+    perms = [
+        [index[m] for m in map(sum, combinations([1 << y for y in p], k))]
+        for p in gens
+    ]
     reps: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for sub in combinations(range(g.n), k):
-        if sub not in seen:
+    seen: set[int] = set()
+    for j, sub in enumerate(combinations(range(n), k)):
+        if j not in seen:
             reps.append(sub)
-            seen |= _orbit(sub, gens, lambda p, s: tuple(sorted(p[v] for v in s)))
+            seen |= _orbit(j, perms)
     return reps
 
 

@@ -185,6 +185,55 @@ def test_certify_dispatch_matches_position():
         assert cert.provenance.startswith(prefix) or cert.provenance == "search-fallback"
 
 
+def test_certify_refuses_what_classify_position_refuses():
+    # one bad input at a time: the same exception and message either way
+    g, h = complete(3), complete(3)
+    cases = [
+        (g, h, (0, 1)),
+        (g, h, (0, 1, 99)),
+        (Graph(4, [(0, 1), (2, 3)]), h, (0, 1, 2)),
+        (g, Graph(1, []), (0, 1, 2)),
+    ]
+    for gg, hh, s in cases:
+        with pytest.raises(ValueError) as expected:
+            classify_position(gg, hh, s)
+        with pytest.raises(ValueError) as got:
+            certify(gg, hh, s)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "pairs,make",
+    [
+        ([(0, 0), (1, 1), (2, 2)], construct_lemma31),
+        ([(0, 0), (0, 1), (1, 0)], construct_lemma32),
+        ([(0, 0), (1, 0), (2, 1)], construct_lemma33),
+        ([(0, 0), (1, 0), (2, 0)], construct_lemma34),
+        ([(0, 0), (0, 1), (0, 2)], construct_lemma41),
+    ],
+)
+def test_certify_leaves_the_factor_check_to_the_construction(monkeypatch, pairs, make):
+    # certify classifies S without checking the factors, so it runs no
+    # connectivity test beyond those of the construction it dispatches to,
+    # two of which are the construction's factor check
+    calls = []
+    real = Graph.is_connected
+
+    def counting(self, *args, **kwargs):
+        calls.append((self, args, kwargs))
+        return real(self, *args, **kwargs)
+
+    g, h = complete(3), cycle(4)
+    s = _s(g, h, pairs)
+    monkeypatch.setattr(Graph, "is_connected", counting)
+    make(g, h, s)
+    direct = list(calls)
+    calls.clear()
+    certify(g, h, s)
+    assert calls == direct
+    assert direct[:2] == [(g, (), {}), (h, (), {})]
+
+
 def test_certify_deterministic():
     g, h = complete(3), cycle(4)
     s = _s(g, h, [(0, 0), (1, 1), (2, 2)])

@@ -197,10 +197,7 @@ def test_kappa_k_skips_automorphisms_when_first_subset_has_kappa_1(monkeypatch):
 
 def _sweep_factors():
     """Every factor of the bench's certify-sweep products, Petersen first."""
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    yield Graph(10, outer + spokes + inner)
+    yield _petersen()
     yield from (complete(3), cycle(5), complete(5), cycle(6), cycle(4), cycle(8),
                 cycle(9), complete_bipartite(4, 4), complete_bipartite(2, 3),
                 complete_bipartite(3, 3))
@@ -581,6 +578,76 @@ def test_automorphism_search_ticks_budget():
         automorphism_generators(g, Budget(5))
 
 
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def test_automorphism_generators_pinned():
+    # the generators and the search nodes spent on them (one tick each) for
+    # two seeded relabelings of the kappa3-exact families, Petersen and
+    # C8 □ C9.  A changed digest means a changed generator, candidate order
+    # or node count.
+    rng = random.Random(21)
+    graphs = _kappa3_exact_families() + [
+        _petersen(), cartesian_product(cycle(8), cycle(9))
+    ]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for _ in range(2):
+            lab = _relabelled(g, rng)
+            budget = Budget()
+            gens = automorphism_generators(lab, budget)
+            digest.update(repr((lab.n, gens, budget.used)).encode())
+    assert digest.hexdigest() == (
+        "6676ada119dcdee29856b1f45c0539920df6748df79561199ff7d07f2a7e7915"
+    )
+
+
+def _reference_orbit_reps(g, k, gens):
+    """Orbit representatives as an orbit closure over sorted tuples."""
+    reps, seen = [], set()
+    for sub in combinations(range(g.n), k):
+        if sub not in seen:
+            reps.append(sub)
+            orbit, frontier = {sub}, [sub]
+            for s in frontier:
+                for p in gens:
+                    t = tuple(sorted(p[v] for v in s))
+                    if t not in orbit:
+                        orbit.add(t)
+                        frontier.append(t)
+            seen |= orbit
+    return reps
+
+
+def test_orbit_reps_match_reference_on_larger_graphs():
+    rigid = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
+    assert automorphism_generators(rigid) == []
+    graphs = [
+        rigid, cycle(6), complete_tripartite(2, 2, 2), complete_bipartite(3, 4),
+        cartesian_product(cycle(4), path(2)), path(8),
+        cartesian_product(complete(3), complete(3)), _petersen(),
+    ]
+    rng = random.Random(4)
+    for g in graphs:
+        for _ in range(2):
+            lab = _relabelled(g, rng)
+            gens = automorphism_generators(lab)
+            for k in (2, 3, 4):
+                assert subset_orbit_reps(lab, k, gens) == _reference_orbit_reps(
+                    lab, k, gens
+                )
+
+
 # -- closed-form oracles ----------------------------------------------------
 
 
@@ -638,22 +705,24 @@ def test_kappa3_invariant_under_relabeling(perm):
     assert kappa3(relabeled) == 2
 
 
-def _pinned_kappa_k_graphs():
-    """The nine kappa3-exact bench families under three seeded relabelings
-    each, then the acceptance-grid products with n <= 12, each unordered
-    pair of grid factors once."""
-    families = [
+def _kappa3_exact_families():
+    """The nine graph families of the kappa3-exact bench workload."""
+    return [
         complete(6), complete(7), complete_bipartite(3, 4),
         complete_bipartite(4, 4), complete_tripartite(2, 2, 2),
         complete_tripartite(2, 2, 3), complete_tripartite(1, 2, 4),
         complete_tripartite(2, 3, 3), cartesian_product(complete(3), complete(3)),
     ]
+
+
+def _pinned_kappa_k_graphs():
+    """The nine kappa3-exact bench families under three seeded relabelings
+    each, then the acceptance-grid products with n <= 12, each unordered
+    pair of grid factors once."""
     rng = random.Random(12)
-    for g in families:
+    for g in _kappa3_exact_families():
         for _ in range(3):
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            yield Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+            yield _relabelled(g, rng)
     grid = [path(2), path(3), cycle(3), cycle(4), cycle(5), complete(3),
             complete(4), complete(5), complete_bipartite(2, 3),
             complete_bipartite(3, 3), join_complete_empty2(2)]
