@@ -318,7 +318,12 @@ def kappa3_upper_adjacent_min_degree(g: Graph) -> Optional[int]:
 
 
 def kappa3_range_from_kappa(kappa: int) -> tuple[int, int]:
-    """The (lower, upper) sandwich for kappa3 given kappa = 4k + r."""
+    """The (lower, upper) sandwich for kappa3 given kappa = 4k + r.
+
+    The lower side, 3k + ceil(r/2), is the bound of S. Li, X. Li and
+    W. Zhou ("Sharp bounds for the generalized connectivity kappa3(G)",
+    Discrete Math. 310, 2010); `packing.kappa_k` stops its search for
+    kappa3 once the minimum meets it."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     k, r = divmod(kappa, 4)

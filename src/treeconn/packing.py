@@ -9,9 +9,12 @@ remaining tree to end in it (see its docstring).  The greedy packer
 (`_greedy_pack`: each tree a union of BFS paths from a terminal root)
 run at the upper bound gives a lower bound, and `_decide` runs from the
 upper bound down to it.  `kappa_k` returns the trees of the search that
-set the value, so nothing is packed twice.  `max_internally_disjoint_trees`
-packs its value again with `pack_trees`, because Lemma 3.4 and the exact
-fallback copy that search's first packing into certificate bytes.
+set the value, so nothing is packed twice, and stops at a floor that no
+k-subset goes below: 1, and for k = 3 the bound of S. Li, X. Li and
+W. Zhou on kappa(G), so a graph whose least subset meets it needs no
+automorphism search.  `max_internally_disjoint_trees` packs its value
+again with `pack_trees`, because Lemma 3.4 and the exact fallback copy
+that search's first packing into certificate bytes.
 `pack_trees` packs trees one at a time in ascending order of their least
 edge (killing permutation symmetry), so once a tree is chosen every edge
 up to its least edge is closed to the trees after it, as its own edges
@@ -36,7 +39,13 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations, islice
 from typing import AbstractSet, Callable, Iterator, Optional, Sequence
 
-from .connectivity import count_disjoint_paths, path_edges, simple_paths
+from .connectivity import (
+    count_disjoint_paths,
+    kappa3_range_from_kappa,
+    path_edges,
+    simple_paths,
+    vertex_connectivity,
+)
 from .errors import Budget
 from .graphs import Edge, Graph, norm_edge
 
@@ -598,14 +607,20 @@ def kappa_k(
     Every subset is evaluated by `_kappa_value`, and the bundle returned is
     the one of the search that set the minimum (the greedy packer's or
     `_decide`'s, trees in ascending order of their least edge), so no
-    search runs twice.  The least subset 0..k-1 is evaluated first; if its
-    kappa is 1 it is the answer, and no automorphism is searched for.  A
+    search runs twice.  The least subset 0..k-1 is evaluated first.  The
+    search stops once the minimum meets a floor no subset goes below: 1,
+    and for k = 3 the Li-Li-Zhou bound `kappa3_range_from_kappa(kappa(G))`
+    (kappa(G) is computed at most once, when the minimum first falls to the
+    bound of delta(G) >= kappa(G)).  It is checked after the least subset,
+    where meeting it skips the automorphism search, and after each drop.  A
     later subset is skipped when it still admits as many trees as the
     current minimum: when the greedy packer places that many, or else when
     `_decide` says so.  With `use_symmetry`, only the least k-subset of
     each Aut(g)-orbit is evaluated; the result is the same, because the
     least subset attaining the minimum is the least of its orbit and the
     skip test answers exactly whether kappa(S) reaches the current minimum.
+    The floor leaves it unchanged too: a minimum is replaced only on a
+    strict decrease, and none is possible below the floor.
     """
     if not 2 <= k <= g.n:
         raise ValueError("need 2 <= k <= n")
@@ -613,9 +628,20 @@ def kappa_k(
         budget = Budget()
     if not g.is_connected():
         raise ValueError("graph must be connected")
+    floor = 1
+    cap = kappa3_range_from_kappa(g.min_degree())[0] if k == 3 else 0
+
+    def at_floor(value: int) -> bool:
+        # kappa(G) <= delta(G) and the bound is monotone, so kappa(G) can
+        # raise the floor above `value` only when value <= cap
+        nonlocal floor, cap
+        if floor < value <= cap:
+            floor, cap = kappa3_range_from_kappa(vertex_connectivity(g))[0], 0
+        return value <= floor
+
     best_s = tuple(range(k))
     best, bundle = _kappa_value(g, best_s, _room(g, best_s), budget)
-    if best > 1:
+    if not at_floor(best):
         subsets = (
             subset_orbit_reps(g, k, automorphism_generators(g, budget))
             if use_symmetry
@@ -623,11 +649,11 @@ def kappa_k(
         )
         # both orders start with 0..k-1, the least subset, already evaluated
         for sub in islice(subsets, 1, None):
-            if best == 1:
-                break
             value, found = _kappa_value(g, sub, best, budget)
             if value < best:
                 best, best_s, bundle = value, sub, found
+                if at_floor(best):
+                    break
     return best, best_s, bundle
 
 

@@ -441,12 +441,14 @@ def test_lemma34_budget_use_pinned():
     # gives each value search its lower bound, which raised it to 454;
     # kappa_k keeping the bundle of the search that set its value, in place
     # of packing the witness again, cut it to 444; rooting each greedy tree
-    # at a terminal, not at every vertex, cut it to 203
+    # at a terminal, not at every vertex, cut it to 203; kappa_k stopping
+    # once its minimum meets the Li-Li-Zhou floor of kappa(Petersen) = 3,
+    # with no orbit search and no skip tests, cut it to 62
     g, h = _petersen(), complete(3)
     budget = Budget(10**9)
     cert = certify(g, h, [0, 3, 6], budget)
     assert cert.provenance == "3.4"
-    assert budget.used == 203
+    assert budget.used == 62
 
 
 def _pinned_certificates():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from treeconn import packing
 from treeconn.connectivity import (
+    kappa3_range_from_kappa,
     kappa3_upper_adjacent_min_degree,
     vertex_connectivity,
 )
@@ -179,20 +180,71 @@ def test_kappa_k_symmetry_agrees():
         assert kappa_k(g, 3)[0] == kappa_k(g, 3, use_symmetry=True)[0]
 
 
-def test_kappa_k_skips_automorphisms_when_first_subset_has_kappa_1(monkeypatch):
+def test_kappa_k_skips_automorphisms_at_the_floor(monkeypatch):
     calls = []
+    flows = []
     real = packing.automorphism_generators
+    real_kappa = packing.vertex_connectivity
 
     def counting(g, *args, **kwargs):
         calls.append(g)
         return real(g, *args, **kwargs)
 
+    def counting_kappa(g):
+        flows.append(g)
+        return real_kappa(g)
+
     monkeypatch.setattr(packing, "automorphism_generators", counting)
+    monkeypatch.setattr(packing, "vertex_connectivity", counting_kappa)
     value, witness, bundle = kappa_k(cycle(8), 3, use_symmetry=True)
     assert (value, witness, bundle.s) == (1, (0, 1, 2), (0, 1, 2))
-    assert calls == []
-    assert kappa_k(complete(4), 3, use_symmetry=True)[0] == 2
-    assert calls == [complete(4)]
+    assert calls == [] and flows == []
+    # the least subset meets the Li-Li-Zhou floor (kappa 3 gives 2, kappa 4
+    # gives 3), and kappa(G) is computed once
+    cases = (
+        (complete(4), 2),
+        (complete_tripartite(2, 2, 2), 3),
+        (cartesian_product(complete(3), complete(3)), 3),
+    )
+    for g, value in cases:
+        assert kappa_k(g, 3, use_symmetry=True)[0] == value
+    assert calls == [] and flows == [g for g, _ in cases]
+    # K3,4: the least subset {0, 1, 2} has kappa 4, above the floor 2 of
+    # delta = 3, so kappa(G) is never computed and the orbits are searched
+    assert kappa_k(complete_bipartite(3, 4), 3, use_symmetry=True)[0] == 3
+    assert calls == [complete_bipartite(3, 4)]
+    assert flows == [g for g, _ in cases]
+
+
+def _least_min_subset(g):
+    """The least 3-set of least kappa(S), each kappa(S) searched from its own
+    upper bound."""
+    best = None
+    for s in combinations(range(g.n), 3):
+        value = packing._kappa_value(g, s, packing._room(g, s), Budget())[0]
+        if best is None or value < best[0]:
+            best = value, s
+    return best
+
+
+def test_kappa_k_agrees_with_every_subset_and_meets_the_floor():
+    # every connected graph on 3 to 5 vertices, two K4 blocks sharing the
+    # cut vertex 3 (the least subset's kappa 2 meets the floor of delta = 3,
+    # but kappa = 1 leaves the floor at 1 and the minimum is 1), and 60
+    # seeded draws on 6 to 8 vertices
+    blocks = Graph(7, [*combinations(range(4), 2), *combinations(range(3, 7), 2)])
+    rng = random.Random(22)
+    drawn = []
+    while len(drawn) < 60:
+        n = rng.randint(6, 8)
+        p = rng.choice((0.5, 0.7, 0.9))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        if g.is_connected():
+            drawn.append(g)
+    for g in (*_connected_graphs_up_to_5(), blocks, *drawn):
+        value, witness, _ = kappa_k(g, 3, use_symmetry=True)
+        assert (value, witness) == _least_min_subset(g), g.edges
+        assert kappa3_range_from_kappa(vertex_connectivity(g))[0] <= value
 
 
 def _sweep_factors():
