@@ -8,10 +8,13 @@ vertices each: `classify_position`, run first by every construction,
 raises ValueError otherwise.  A k-connected factor then joins any two
 vertices by k internally disjoint paths (Menger; a direct edge counts),
 and any vertex to any k others by a k-fan (the fan lemma), so those path
-systems are used as the flow returns them, unchecked.  Only the paper's
-own hypotheses are checked: kappa >= 2 (resp. 3) where a step needs it,
-a pair of S's coordinates that is not adjacent (Lemma 3.1 case 1), H - X
-connected (Lemmas 3.1-3.3) and Lemma 4.1's bundle shapes.  Each
+systems are used as the flow returns them, unchecked.  Only what a real
+input can fail is checked: kappa >= 2 (resp. 3) where a step needs it, a
+pair of S's coordinates that is not adjacent (Lemma 3.1 case 1), and that
+Lemma 4.1's reduced bundle and cycle segments exist.  Lemmas 3.1-3.3 remove
+X, kappa(H) - 1 inner vertices of disjoint paths, from H, which leaves it
+connected by the definition of kappa(H); Lemma 4.1's path shapes follow
+from the bundle's invariants.  Neither is tested.  Each
 construction assembles trees as unions of fiber pieces (paths, fans, whole
 fibers), materializes them (spanning tree + leaf trim) and re-verifies the
 whole bundle; when a hypothesis fails or the trees are rejected, it falls
@@ -41,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 from .bundles import _segments_triple, find_reduced_bundle
 from .connectivity import fan, max_disjoint_paths, vertex_connectivity
-from .errors import Budget, BudgetExhausted
+from .errors import Budget
 from .graphs import Edge, Graph, cartesian_product, complete, flat_id, norm_edge
 from .packing import (
     STree,
@@ -238,7 +241,7 @@ def _finish(
     g: Graph,
     h: Graph,
     s: Sequence[int],
-    tree_edge_sets: Optional[list[set[Edge]]],
+    tree_edge_sets: list[set[Edge]],
     tag: str,
     claimed: int,
     budget: Optional[Budget],
@@ -246,13 +249,12 @@ def _finish(
     """Materialize + verify (which counts the trees), falling back to search
     when either rejects them."""
     terms = tuple(sorted(s))
-    if tree_edge_sets is not None:
-        trees = [_materialize(es, set(terms)) for es in tree_edge_sets]
-        if None not in trees:
-            bundle = STreeBundle(terms, tuple(trees))
-            cert = Certificate(g, h, terms, bundle, tag, claimed)
-            if cert.verify() is None:
-                return cert
+    trees = [_materialize(es, set(terms)) for es in tree_edge_sets]
+    if None not in trees:
+        bundle = STreeBundle(terms, tuple(trees))
+        cert = Certificate(g, h, terms, bundle, tag, claimed)
+        if cert.verify() is None:
+            return cert
     return _fallback(g, h, s, claimed, budget)
 
 
@@ -283,25 +285,22 @@ def construct_lemma31(
             (u1, v1), (u2, v2), (u3, v3) = [cpairs[i] for i in perm]
             if ch.has_edge(v1, v2):
                 continue
-            built = _lemma31_case1(cg, ch, k, l, u1, u2, u3, v1, v2, v3, hpath, gpath, h.n)
-            if built is not None:
-                trees, tag = built
-                return _finish(g, h, s, trees, tag, claimed, budget)
+            trees, tag = _lemma31_case1(cg, ch, k, l, u1, u2, u3, v1, v2, v3, hpath, gpath, h.n)
+            return _finish(g, h, s, trees, tag, claimed, budget)
     return _fallback(g, h, s, claimed, budget)
 
 
 def _lemma31_case1(
     cg: Graph, ch: Graph, k: int, l: int, u1: int, u2: int, u3: int,
     v1: int, v2: int, v3: int, hpath, gpath, m: int,
-) -> Optional[tuple[list[set[Edge]], str]]:
+) -> tuple[list[set[Edge]], str]:
     """Lemma 3.1 case 1 in the orientation (cg, ch): `hpath` and `gpath`
     copy ch- and cg-paths into G box H flat ids (see `_orientations`)."""
     # the (at most one) path through v3 goes last, so X, the predecessors
-    # of v2 on P_1..P_{l-1}, holds l - 1 inner vertices other than v3
+    # of v2 on P_1..P_{l-1}, holds l - 1 inner vertices other than v3 (v1v2
+    # is not an edge), fewer than kappa(ch) = l, and ch - X is connected
     hp = sorted(max_disjoint_paths(ch, v1, v2, need=l), key=lambda p: v3 in p)
     x_set = {p[-2] for p in hp[: l - 1]}
-    if not ch.is_connected(avoid=frozenset(x_set)):
-        return None
     hq = {p[-1]: p for p in fan(ch, v3, x_set | {v1}, l).paths}
     trees = [_rung_tree(hpath, gpath, cg, p, (u1, u2, u3), hq, m) for p in hp[: l - 1]]
 
@@ -402,25 +401,17 @@ def construct_lemma32(
     return _finish(g, h, s, trees, "3.2", claimed, budget)
 
 
-def _h_opening(
-    h: Graph, v1: int, v2: int, l: int
-) -> Optional[tuple[list[list[int]], set[int]]]:
+def _h_opening(h: Graph, v1: int, v2: int, l: int) -> tuple[list[list[int]], set[int]]:
     """Lemmas 3.2 and 3.3 open alike: l disjoint v1-v2 paths in H, which
     Menger guarantees, direct edge last, and X, the second vertices of the
-    first l - 1, all inner vertices.  None when H - X is disconnected, the
-    one hypothesis the lemmas add."""
+    first l - 1.  These are l - 1 inner vertices, fewer than kappa(H) = l,
+    so H - X is connected."""
     hp = sorted(max_disjoint_paths(h, v1, v2, need=l), key=lambda p: len(p) == 2)
-    x_set = {p[1] for p in hp[: l - 1]}
-    if not h.is_connected(avoid=frozenset(x_set)):
-        return None
-    return hp, x_set
+    return hp, {p[1] for p in hp[: l - 1]}
 
 
-def _lemma32_build(g, h, u1, u2, v1, v2, m, k, l) -> Optional[list[set[Edge]]]:
-    opening = _h_opening(h, v1, v2, l)
-    if opening is None:
-        return None
-    hp, x_set = opening
+def _lemma32_build(g, h, u1, u2, v1, v2, m, k, l) -> list[set[Edge]]:
+    hp, x_set = _h_opening(h, v1, v2, l)
     gp = sorted(max_disjoint_paths(g, u1, u2, need=k), key=lambda q: len(q) == 2)
     # every tree but the last: a path joining two terminals at home, and the
     # star at the path's second vertex, whose rung reaches the third terminal
@@ -453,22 +444,14 @@ def construct_lemma33(
     vs = [v for _, v in cpairs]
     v1 = max(set(vs), key=vs.count)
     v2 = next(v for v in vs if v != v1)
-    shared = sorted(u for u, v in cpairs if v == v1)
+    u1, u2 = sorted(u for u, v in cpairs if v == v1)
     (u3,) = [u for u, v in cpairs if v == v2]
-    for ua, ub in (shared, shared[::-1]):
-        trees = _lemma33_build(cg, ch, k, l, ua, ub, u3, v1, v2, hpath, gpath, h.n)
-        if trees is not None:
-            return _finish(g, h, s, trees, "3.3", claimed, budget)
-    return _fallback(g, h, s, claimed, budget)
+    trees = _lemma33_build(cg, ch, k, l, u1, u2, u3, v1, v2, hpath, gpath, h.n)
+    return _finish(g, h, s, trees, "3.3", claimed, budget)
 
 
-def _lemma33_build(
-    cg, ch, k, l, u1, u2, u3, v1, v2, hpath, gpath, m
-) -> Optional[list[set[Edge]]]:
-    opening = _h_opening(ch, v1, v2, l)
-    if opening is None:
-        return None
-    hp, x_set = opening
+def _lemma33_build(cg, ch, k, l, u1, u2, u3, v1, v2, hpath, gpath, m) -> list[set[Edge]]:
+    hp, x_set = _h_opening(ch, v1, v2, l)
     trees = [
         _star(hpath, gpath, cg, v1, p[1], (u1, u2), m) | hpath(p[1:], u3, m)
         for p in hp[: l - 1]
@@ -551,10 +534,7 @@ def construct_lemma41(
     best = None
     for v3 in vset:
         va, vb = [v for v in vset if v != v3]
-        try:
-            rb = find_reduced_bundle(h, l, va, vb, v3, t=t, budget=budget)
-        except BudgetExhausted:
-            rb = None
+        rb = find_reduced_bundle(h, l, va, vb, v3, t=t, budget=budget)
         if rb is not None and (best is None or rb.base.t < best.base.t):
             best = rb
         if best is not None and best.base.t == (t if t is not None else 0):
@@ -596,29 +576,19 @@ def construct_lemma41(
         if t == 1:
             trees.append(_hpath(through[0], u1, m))
         elif t == 2:
-            if len(tail) < 2:
-                return _fallback(g, h, s, claimed, budget)
             trees += braid(through[0], through[1], tail[1], tail[0])
         trees += stars(nbrs)
         return _finish(g, h, s, trees, f"4.1/t={t}", claimed, budget)
 
     # t >= 3: route three trees per neighbor through a cycle in H minus
-    # {v1, v2, v3}, threaded via that neighbor's fiber
-    def seg_ok(p: list[int]) -> bool:
-        a, b = split(p)
-        return len(a) >= 3 and len(b) >= 3
-
-    longs = [p for p in through if seg_ok(p)]
-    shorts = [p for p in through if not seg_ok(p)]
-    if len(shorts) > 2:
-        return _fallback(g, h, s, claimed, budget)
-    othrough = longs + shorts
-    tail_short = [p for p in tail if len(p) < 3]
-    tail_long = [p for p in tail if len(p) >= 3]
-    otail = tail_short + tail_long  # short ones land in the unconstrained slots
+    # {v1, v2, v3}, threaded via that neighbor's fiber.  A through-path is
+    # short when it uses the edge v1v3 or v3v2; the bundle is edge-disjoint,
+    # so at most two are, and they go last, after the n_groups <= t - 2 that
+    # the groups take.  At most one tail is the bare edge v1v2; it goes
+    # first, and the groups take tails t - 1 down to 2.
+    othrough = sorted(through, key=lambda p: v3 in (p[1], p[-2]))
+    otail = sorted(tail, key=lambda p: len(p) > 2)
     n_groups = t - 2 if delta1 >= t - 2 else delta1
-    if len(othrough) - len(shorts) < n_groups or len(otail) < t:
-        return _fallback(g, h, s, claimed, budget)
     sbudget = budget if budget is not None else Budget()
     for j in range(1, n_groups + 1):
         built = _lemma41_group(
@@ -659,11 +629,10 @@ def _lemma41_group(
 
     Each tree takes one piece of the split through-path or the free path at
     the home fiber, drops to the neighbor fiber at its missing terminal,
-    and returns via a cycle segment landing on its own piece."""
+    and returns via a cycle segment landing on its own piece.  The caller
+    passes long paths: each piece has an inner vertex to land on."""
     i = p_through.index(v3)
     p11, p12 = p_through[: i + 1], p_through[i:]
-    if len(p11) < 3 or len(p12) < 3 or len(p_free) < 3:
-        return None
     land1 = p11[1]  # lands on the v1-v3 piece
     land3 = p12[1]  # lands on the v3-v2 piece
     land5 = p_free[-2]  # lands on the free path

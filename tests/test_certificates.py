@@ -378,14 +378,27 @@ def test_lemma41_internal_fault_propagates(monkeypatch):
         certify(*_same_h_fiber_case())
 
 
-def test_lemma41_exhausted_budget_falls_back(monkeypatch):
+def test_lemma41_exhausted_budget_raises(monkeypatch):
+    # an exhausted bundle search is not "no bundle": falling back would
+    # claim only the weaker bound of the search
     def exhausted(*args, **kwargs):
         raise BudgetExhausted("search budget of 0 expansions exhausted")
 
     monkeypatch.setattr(certificates, "find_reduced_bundle", exhausted)
-    cert = certify(*_same_h_fiber_case())
-    _check(cert)
-    assert cert.provenance == "search-fallback"
+    with pytest.raises(BudgetExhausted):
+        certify(*_same_h_fiber_case())
+
+
+def test_lemma41_small_budget_raises_instead_of_weakening_the_bound():
+    # P2 box (K4 - (2, 3)), S in one fiber: with room the search finds the
+    # t = 0 bundle (bound 3); three ticks run out before it, and the
+    # certificate must not settle for t = 1 (bound 2)
+    g, h = path(2), Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    s = _s(g, h, [(0, 0), (0, 1), (0, 2)])
+    cert = certify(g, h, s, Budget(100))
+    assert (cert.provenance, cert.claimed_bound) == ("4.1/t=0", 3)
+    with pytest.raises(BudgetExhausted):
+        certify(g, h, s, Budget(3))
 
 
 def test_a_failed_fan_raises_instead_of_falling_back(monkeypatch):
@@ -465,9 +478,6 @@ def _pinned_certificates():
 def test_construction_bytes_pinned(monkeypatch):
     # A changed digest means changed certificate bytes: update it only when
     # a construction is meant to build different trees.
-    def exhausted(*args, **kwargs):
-        raise BudgetExhausted("search budget of 0 expansions exhausted")
-
     def digest_of(certs):
         digest = hashlib.sha256()
         for cert in certs:
@@ -496,7 +506,7 @@ def test_construction_bytes_pinned(monkeypatch):
         assert digest_of(wide) == expected
 
     certs = list(_pinned_certificates())
-    monkeypatch.setattr(certificates, "find_reduced_bundle", exhausted)
+    monkeypatch.setattr(certificates, "find_reduced_bundle", lambda *args, **kwargs: None)
     certs.append(certify(*_same_h_fiber_case()))
     assert {c.provenance for c in certs} == {
         "3.1/1.1", "3.1/1.2", "3.1/2", "3.2", "3.3", "3.4",
@@ -616,6 +626,23 @@ def test_verify_rejects_ids_outside_the_product(s):
     tree = STree(frozenset({(s[0], s[1]), (s[1], s[2])}))
     cert = Certificate(g, h, s, STreeBundle(s, (tree,)), "search-fallback", 1)
     assert cert.verify() == f"tree 1: edge {(s[0], s[1])} not in graph"
+
+
+def test_verify_rejects_a_disconnected_tree():
+    # a triangle in the fiber of 0 plus the layer edge (3, 6): five vertices
+    # and four edges, as a tree on them has, yet in two pieces
+    g = h = complete(3)
+    s = (0, 3, 6)
+    tree = STree(frozenset({(0, 1), (1, 2), (0, 2), (3, 6)}))
+    cert = Certificate(g, h, s, STreeBundle(s, (tree,)), "search-fallback", 1)
+    assert cert.verify() == "tree 1: tree is disconnected"
+
+
+def test_verify_rejects_a_bundle_for_other_terminals():
+    g = h = complete(3)
+    tree = STree(frozenset({(0, 3), (3, 6), (6, 7)}))
+    cert = Certificate(g, h, (0, 3, 6), STreeBundle((0, 3, 7), (tree,)), "search-fallback", 1)
+    assert cert.verify() == "certificate terminal set does not match bundle"
 
 
 def test_verify_rejects_reversed_edge():

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -141,6 +142,18 @@ def test_kappa3_missing_file():
     assert run(["kappa3", "/nonexistent.el"]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [("2 1\n0 1\n", "at least three vertices"), ("4 2\n0 1\n2 3\n", "must be connected")],
+    ids=["two-vertices", "disconnected"],
+)
+def test_kappa3_exact_refuses_a_graph_without_kappa3(tmp_path, capsys, text, message):
+    p = tmp_path / "g.el"
+    p.write_text(text)
+    assert run(["kappa3", str(p), "--mode", "exact"]) == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 # -- certify / verify round trip -------------------------------------------
 
 
@@ -185,6 +198,32 @@ def test_negative_budget_is_refused(command, k3_file, capsys):
     assert run([command, *args, "--budget", "0"]) == cli.EXIT_BUDGET
 
 
+def test_certify_small_budget_in_the_bundle_search_exits(tmp_path, capsys):
+    # P2 box (K4 - (2, 3)), S in one fiber: three ticks end Lemma 4.1's
+    # bundle search, which must not settle for a weaker bound
+    p2, k4e = tmp_path / "p2.el", tmp_path / "k4e.el"
+    p2.write_text(format_edge_list(path(2)))
+    k4e.write_text(format_edge_list(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])))
+    args = ["certify", str(p2), str(k4e), "--s", "0,0;0,1;0,2", "--budget"]
+    assert run(args + ["100"]) == 0
+    assert "provenance 4.1/t=0; bound 3" in capsys.readouterr().err
+    assert run(args + ["3"]) == cli.EXIT_BUDGET
+    assert "budget" in capsys.readouterr().err
+
+
+def test_certify_rechecks_the_certificate_it_writes(k3_file, monkeypatch, capsys):
+    real = cli.certify
+
+    def inflated(*args):
+        cert = real(*args)
+        return replace(cert, claimed_bound=len(cert.bundle) + 1)
+
+    monkeypatch.setattr(cli, "certify", inflated)
+    assert run(["certify", k3_file, k3_file, "--s", "0,0;1,1;2,2"]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error: constructed certificate invalid: bundle has 3 trees" in err
+
+
 def test_internal_fault_exit(k3_file, monkeypatch, capsys):
     from treeconn import certificates
 
@@ -207,6 +246,8 @@ def test_certify_bad_s_spec(k3_file):
     assert run(["certify", k3_file, k3_file, "--s", "0,0;1,1"]) == cli.EXIT_INPUT
     assert run(["certify", k3_file, k3_file, "--s", "0,0;1,1;9,9"]) == cli.EXIT_INPUT
     assert run(["certify", k3_file, k3_file, "--s", "0,0;0,0;1,1"]) == cli.EXIT_INPUT
+    assert run(["certify", k3_file, k3_file, "--s", "0,0;1;2,2"]) == cli.EXIT_INPUT
+    assert run(["certify", k3_file, k3_file, "--s", "0,0;a,1;2,2"]) == cli.EXIT_INPUT
 
 
 @pytest.mark.parametrize(
