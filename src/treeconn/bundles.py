@@ -10,7 +10,7 @@ The finders are bounded exhaustive searches over `connectivity.simple_paths`
 (smallest t first); they produce witnesses for certificate generation at
 desk scale, not efficient algorithms.  `_segments_triple`, the search for
 three vertex-disjoint segments behind the cycle finder, also threads the
-Lemma 4.1 trees in `certificates`.
+Lemma 4.1 trees in `certificates`, there in H with v1, v2 and v3 avoided.
 """
 
 from __future__ import annotations
@@ -295,11 +295,13 @@ def find_cycle_through_edges(
 
 
 def _segments_triple(
-    g: Graph, a: int, b: int, c: int, d: int, e: int, f: int, budget: Budget
+    g: Graph, a: int, b: int, c: int, d: int, e: int, f: int, budget: Budget,
+    avoid: frozenset[int] = frozenset(),
 ) -> Optional[tuple[list[int], list[int], list[int]]]:
     """Vertex-disjoint paths a->b, c->d, e->f avoiding all six endpoints
-    internally; the first found in `simple_paths` order."""
-    ends = frozenset({a, b, c, d, e, f})
+    and the vertices in `avoid` internally; the first found in
+    `simple_paths` order."""
+    ends = avoid | {a, b, c, d, e, f}
     for p in simple_paths(g, a, frozenset({b}), ends, budget):
         used_p = frozenset(p)
         for q in simple_paths(g, c, frozenset({d}), ends | used_p, budget):

@@ -637,28 +637,21 @@ def _lemma41_group(
     land3 = p12[1]  # lands on the v3-v2 piece
     land5 = p_free[-2]  # lands on the free path
     fixed = {v1, v2, v3, land1, land3, land5}
-    keep = [v for v in range(h.n) if v not in (v1, v2, v3)]
-    sub, old = h.induced_subgraph(keep)
-    fwd = {x: i for i, x in enumerate(old)}
-    for a2 in sorted(h.neighbors(v1)):
+    for a2 in h.neighbors(v1):
         if a2 in fixed:
             continue
-        for a4 in sorted(h.neighbors(v3)):
+        for a4 in h.neighbors(v3):
             if a4 in fixed or a4 == a2:
                 continue
-            for a6 in sorted(h.neighbors(v2)):
+            for a6 in h.neighbors(v2):
                 if a6 in fixed or a6 in (a2, a4):
                     continue
                 segs = _segments_triple(
-                    sub,
-                    fwd[a2], fwd[land3],
-                    fwd[a4], fwd[land5],
-                    fwd[a6], fwd[land1],
-                    budget,
+                    h, a2, land3, a4, land5, a6, land1, budget, frozenset({v1, v2, v3})
                 )
                 if segs is None:
                     continue
-                sa, sb, sc = ([old[x] for x in p] for p in segs)
+                sa, sb, sc = segs
                 return [
                     _hpath(piece, u1, m)
                     | _gpath((u1, uj), drop, m)

@@ -134,15 +134,13 @@ def max_disjoint_paths(
     v: int,
     need: Optional[int] = None,
     avoid: frozenset[int] = frozenset(),
-    shared: frozenset[int] = frozenset(),
 ) -> list[list[int]]:
     """Maximum family of internally disjoint u-v paths (capped at `need`),
     avoiding the given internal vertices entirely; with `fan`, the only
-    caller that decomposes the flow.  The paths may share vertices in
-    `shared`, though never an edge (see `count_disjoint_paths`)."""
+    caller that decomposes the flow."""
     if u == v:
         raise ValueError("endpoints must differ")
-    fwd = _max_flow(g, 2 * u + 1, 2 * v, need, avoid - {u, v}, shared=shared - {u, v})
+    fwd = _max_flow(g, 2 * u + 1, 2 * v, need, avoid - {u, v})
     return _decompose(fwd, 2 * u + 1, 2 * v)
 
 
@@ -154,11 +152,10 @@ def count_disjoint_paths(
     avoid: frozenset[int] = frozenset(),
     shared: frozenset[int] = frozenset(),
 ) -> int:
-    """len(max_disjoint_paths(g, u, v, need, avoid, shared)), read from the
-    flow value without decomposing it.  Vertices in `shared` may lie on any
-    number of the paths, each of their edges on one; a path may then
-    revisit such a vertex, so with `shared` only this number is
-    meaningful."""
+    """len(max_disjoint_paths(g, u, v, need, avoid)), read from the flow
+    value without decomposing it.  Vertices in `shared` are not split: they
+    may lie on any number of the paths, each of their edges on one, so only
+    their edges bound the count."""
     if u == v:
         raise ValueError("endpoints must differ")
     fwd = _max_flow(g, 2 * u + 1, 2 * v, need, avoid - {u, v}, shared=shared - {u, v})

@@ -71,20 +71,15 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def is_connected(self, avoid: frozenset[int] = frozenset()) -> bool:
-        """Connectivity of the graph induced on V minus `avoid`."""
-        alive = [v for v in range(self.n) if v not in avoid]
-        if not alive:
-            return False
-        seen = {alive[0]}
-        stack = [alive[0]]
+    def is_connected(self) -> bool:
+        seen = {0}
+        stack = [0]
         while stack:
-            x = stack.pop()
-            for y in self.adj[x]:
-                if y not in avoid and y not in seen:
+            for y in self.adj[stack.pop()]:
+                if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        return len(seen) == len(alive)
+        return len(seen) == self.n
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -97,22 +92,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-    # -- derived graphs ---------------------------------------------------
-
-    def induced_subgraph(self, vertices: Sequence[int]) -> tuple["Graph", list[int]]:
-        """Induced subgraph relabeled to 0..k-1; returns (graph, old_ids).
-
-        old_ids[new] = old; vertices are taken in ascending order.
-        """
-        old_ids = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(old_ids)}
-        edges = [
-            (index[a], index[b])
-            for a, b in self.edges
-            if a in index and b in index
-        ]
-        return Graph(len(old_ids), edges), old_ids
 
     def sha256(self) -> str:
         payload = f"{self.n}\n" + "\n".join(f"{a} {b}" for a, b in self.sorted_edges())

@@ -46,6 +46,58 @@ def test_verify_original_rejects_violations():
     assert verify_original_bundle(g, b) is not None
 
 
+O, R = OriginalPathBundle, ReducedPathBundle
+
+
+@pytest.mark.parametrize(
+    "bundle,message",
+    [
+        (O(0, 0, 2, 0, ((0, 3, 0),)), "anchor vertices not distinct"),
+        (O(0, 1, 2, 2, ((0, 2, 1), (0, 2, 3, 1))), "invalid (s,t) = (2,2)"),
+        (O(0, 1, 2, 0, ((0, 3, 3, 1),)), "path 1: path [0, 3, 3, 1] repeats a vertex"),
+        (
+            O(0, 1, 2, 2, ((0, 2, 1), (0, 2, 1), (0, 3, 1))),
+            "edge (0, 2) shared between paths",
+        ),
+    ],
+)
+def test_verify_original_rejections(bundle, message):
+    assert verify_original_bundle(complete(5), bundle) == message
+
+
+FREE2 = O(0, 1, 2, 0, ((0, 3, 1), (0, 4, 1)))
+
+
+@pytest.mark.parametrize(
+    "n,bundle,message",
+    [
+        (6, R(FREE2, ((2, 3), (2, 2, 4))), "connector 2: path [2, 2, 4] repeats a vertex"),
+        (6, R(FREE2, ((5, 3), (2, 4))), "connector 1 does not start at u3"),
+        (6, R(FREE2, ((2, 5), (2, 4))), "connector 1 does not terminate on a u3-free path"),
+        (6, R(FREE2, ((2, 4, 3), (2, 4))), "connector 1 passes through a u3-free path"),
+        (
+            7,
+            R(FREE2, ((2, 5, 3), (2, 5, 4))),
+            "connector 2 shares an internal vertex with another connector",
+        ),
+        (
+            7,
+            R(O(0, 1, 2, 1, ((0, 5, 2, 1), (0, 3, 1), (0, 4, 1))), ((2, 5, 3),)),
+            "connector 1 touches a designated path internally",
+        ),
+        (
+            7,
+            R(O(0, 1, 2, 1, ((0, 2, 1), (0, 3, 1), (0, 4, 1))), ((2, 0),)),
+            "connector 1 reuses edge (0, 2)",
+        ),
+        # the base bundle's own error comes first
+        (7, R(O(0, 1, 2, 0, ((0, 2, 1),)), ((2, 0),)), "u3 on non-designated path"),
+    ],
+)
+def test_verify_reduced_rejections(n, bundle, message):
+    assert verify_reduced_bundle(complete(n), bundle) == message
+
+
 def test_verify_reduced_alignment():
     g = complete(6)
     base = OriginalPathBundle(0, 1, 2, 0, ((0, 3, 1), (0, 4, 1)))

@@ -5,7 +5,12 @@ from itertools import combinations
 import pytest
 
 from treeconn import certificates
-from treeconn.bundles import OriginalPathBundle, ReducedPathBundle, verify_reduced_bundle
+from treeconn.bundles import (
+    OriginalPathBundle,
+    ReducedPathBundle,
+    find_reduced_bundle,
+    verify_reduced_bundle,
+)
 from treeconn.certificates import (
     Certificate,
     certify,
@@ -429,6 +434,38 @@ def test_lemma41_fewer_neighbours_than_groups(monkeypatch):
     assert cert.verify() is None
     assert cert.provenance == "4.1/case2.1"
     assert cert.claimed_bound == certificates._bound41(8, 1, 4) == len(cert.bundle) == 7
+
+
+def test_lemma41_falls_back_without_cycle_segments(monkeypatch):
+    # t = 3 on P2 box K7,10 threads one neighbour group through cycle
+    # segments of H - {v1, v2, v3}; with none found the construction falls
+    # back, claiming the bound it could not build
+    g, h = path(2), complete_bipartite(7, 10)
+    cert = construct_lemma41(g, h, [0, 1, 2], t=3)
+    assert (cert.provenance, cert.claimed_bound) == ("4.1/case2.1", 7)
+    searched, claims = [], []
+
+    def no_segments(*args):
+        searched.append(args)
+
+    def fallback(g, h, s, claimed, budget):
+        claims.append(claimed)
+        return "fallback"
+
+    monkeypatch.setattr(certificates, "_segments_triple", no_segments)
+    monkeypatch.setattr(certificates, "_fallback", fallback)
+    assert construct_lemma41(g, h, [0, 1, 2], t=3) == "fallback"
+    assert len(searched) == 210 and claims == [7]
+
+
+def test_lemma41_forced_t_beyond_half_the_connectivity():
+    # the bundle search refuses a t outside 0..k // 2, so a forced t beyond
+    # l // 2 finds no bundle and Lemma 4.1 falls back to search (K4: l = 3)
+    assert find_reduced_bundle(complete(6), 4, 0, 1, 2, t=3) is None
+    assert find_reduced_bundle(complete(6), 4, 0, 1, 2, t=-1) is None
+    cert = construct_lemma41(path(2), complete(4), [0, 1, 2], t=2)
+    assert cert.provenance == "search-fallback"
+    assert cert.verify() is None
 
 
 # -- caller's budget and pinned bytes --------------------------------------

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,16 @@ def test_gen_out_file(tmp_path):
     target = tmp_path / "g.el"
     assert run(["gen", "cycle", "5", "--out", str(target)]) == 0
     assert target.read_text().splitlines()[0] == "5 5"
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "treeconn.cli", "gen", "complete", "3"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["3 3", "0 1", "0 2", "1 2"]
 
 
 # -- kappa3 -----------------------------------------------------------------
@@ -290,6 +304,11 @@ def test_verify_rejects_malformed_json(tmp_path):
     assert run(["verify", str(bad)]) == cli.EXIT_INPUT
     bad.write_text("{}")
     assert run(["verify", str(bad)]) == cli.EXIT_INPUT
+
+
+def test_verify_missing_file(tmp_path, capsys):
+    assert run(["verify", str(tmp_path / "absent.json")]) == cli.EXIT_INPUT
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_verify_detects_inflated_bound(k3_file, tmp_path, capsys):

@@ -141,11 +141,11 @@ def test_max_disjoint_paths_avoid():
 def test_max_disjoint_paths_shared():
     # both 1-2 paths pass through 0: 1-0-2 and 1-4-0-3-2, edge-disjoint
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3)])
-    assert len(max_disjoint_paths(g, 1, 2)) == 1
-    assert len(max_disjoint_paths(g, 1, 2, shared=frozenset({0}))) == 2
+    assert count_disjoint_paths(g, 1, 2) == 1
+    assert count_disjoint_paths(g, 1, 2, shared=frozenset({0})) == 2
     # a shared vertex still passes each edge once: K1,3's centre
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert len(max_disjoint_paths(star, 1, 2, shared=frozenset({0}))) == 1
+    assert count_disjoint_paths(star, 1, 2, shared=frozenset({0})) == 1
 
 
 DIGEST_CALLS = 4839
@@ -154,8 +154,8 @@ FLOW_DIGEST = "5292ee1fee6fbaf00ce3d1d577b60ed3e267282224ff8c7da1d2952324b84654"
 
 def _seeded_flow_outputs() -> list:
     """Paths of max_disjoint_paths and fan on seeded random graphs (n <= 16)
-    with `need`, `avoid` and fan targets varied; with `shared` non-empty,
-    only the path count, the one meaningful output."""
+    with `need`, `avoid` and fan targets varied, and the path count of
+    count_disjoint_paths with `shared` non-empty."""
     rng = random.Random(14)
     out = []
     for _ in range(300):
@@ -170,7 +170,7 @@ def _seeded_flow_outputs() -> list:
             out.append(("paths", max_disjoint_paths(g, u, v, need, avoid)))
             shared = frozenset(w for w in rest if w not in avoid and rng.random() < 0.2)
             if shared:
-                out.append(("shared", len(max_disjoint_paths(g, u, v, need, avoid, shared))))
+                out.append(("shared", count_disjoint_paths(g, u, v, need, avoid, shared)))
             x = rng.randrange(n)
             others = [w for w in range(n) if w != x]
             ys = rng.sample(others, rng.randint(1, len(others)))
@@ -280,6 +280,28 @@ def test_checkers_catch_violations():
     assert bad_fan.check(g) is not None
 
 
+@pytest.mark.parametrize(
+    "paths,message",
+    [
+        (((0, 0),), "path [0, 0] repeats a vertex"),
+        (((4, 1),), "path (4, 1) does not start at 0"),
+        (((0, 1), (0, 4, 1)), "terminal 1 repeated"),
+        (((0, 2, 1),), "internal vertex 2 lies in target set"),
+        (((0, 4, 1), (0, 4, 2)), "internal vertex 4 shared between fan paths"),
+    ],
+)
+def test_fan_check_rejections(paths, message):
+    assert Fan(0, (1, 2, 3), paths).check(complete(5)) == message
+
+
+@pytest.mark.parametrize(
+    "g,p,message",
+    [(complete(5), (), "empty path"), (cycle(5), (0, 2), "missing edge (0,2)")],
+)
+def test_check_path_rejections(g, p, message):
+    assert check_path(g, p) == message
+
+
 def test_kappa3_upper_adjacent_min_degree():
     assert kappa3_upper_adjacent_min_degree(complete(4)) == 2
     assert kappa3_upper_adjacent_min_degree(cycle(5)) == 1
@@ -349,33 +371,12 @@ def test_flow_outputs_pinned_c4_c4():
         (2, 8, 10, 15),
         ((0, 1, 2), (0, 3, 15), (0, 4, 8), (0, 12, 13, 9, 10)),
     )
-    # Here the BFS scans residual reverse arcs.  Without shared vertices
-    # their order has not been seen to change the paths: 60,000 seeded
-    # flows and fans with n <= 14 give the same paths with the reverse arcs
-    # scanned first or last.  With shared vertices it can (next test).
+    # Here the BFS scans residual reverse arcs.  Their order has not been
+    # seen to change the paths: 60,000 seeded flows and fans with n <= 14
+    # give the same paths with the reverse arcs scanned first or last.
     assert fan(g, 0, [1, 2, 6, 8], 4) == Fan(
         0, (1, 2, 6, 8), ((0, 1), (0, 3, 2), (0, 4, 5, 6), (0, 12, 8))
     )
-
-
-def test_flow_outputs_pinned_shared_reverse_arc_order():
-    # A shared vertex is one node that keeps its neighbours' arcs, so its
-    # residual reverse arcs mix with forward ones, and the BFS's one sorted
-    # order of both decides the paths: scanning the reverse arcs first
-    # changes the first pin, scanning them last the second.
-    g = Graph(9, [(0, 1), (0, 3), (0, 4), (0, 5), (0, 7), (0, 8), (1, 2),
-                  (1, 4), (1, 6), (2, 4), (2, 5), (2, 8), (3, 4), (3, 5),
-                  (3, 6), (3, 7), (4, 5), (4, 6), (5, 6), (5, 7), (5, 8),
-                  (6, 7)])
-    assert max_disjoint_paths(g, 2, 1, shared=frozenset({0, 4})) == [
-        [2, 1], [2, 4, 1], [2, 5, 0, 1], [2, 8, 0, 4, 6, 1]
-    ]
-    g = Graph(8, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4),
-                  (1, 7), (2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 6),
-                  (4, 6), (4, 7), (5, 7), (6, 7)])
-    assert max_disjoint_paths(g, 7, 2, shared=frozenset({3, 5})) == [
-        [7, 1, 2], [7, 2], [7, 4, 0, 2], [7, 5, 2], [7, 6, 3, 2]
-    ]
 
 
 def test_flow_outputs_pinned_petersen_avoid():
@@ -419,14 +420,11 @@ def test_count_disjoint_paths_matches_path_count():
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
         for _ in range(4):
             u, v = rng.sample(range(n), 2)
-            rest = [w for w in range(n) if w not in (u, v)]
             # avoid may name u or v: both functions drop them
             avoid = frozenset(w for w in range(n) if rng.random() < 0.15)
-            shared = frozenset(w for w in rest if w not in avoid and rng.random() < 0.2)
             need = rng.choice((None, 1, 2, 3, 5))
-            for sh in (frozenset(), shared):
-                want = len(max_disjoint_paths(g, u, v, need, avoid, sh))
-                assert count_disjoint_paths(g, u, v, need, avoid, sh) == want
+            want = len(max_disjoint_paths(g, u, v, need, avoid))
+            assert count_disjoint_paths(g, u, v, need, avoid) == want
 
 
 def test_count_disjoint_paths_rejects_equal_endpoints():
