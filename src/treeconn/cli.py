@@ -158,7 +158,28 @@ def _rebuild_factor(entry: dict, name: str) -> Graph:
 
 
 def dump_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) plus a newline, byte for byte.  json runs
+    its C encoder only when no indent is set, so the indented layout is
+    written by `_indented` and json encodes only the leaves and keys."""
+    return _indented(doc, "\n") + "\n"
+
+
+def _indented(value, nl: str) -> str:
+    """json.dumps(value, indent=2) for a value whose lines start with `nl`
+    (a newline and the spaces of its depth)."""
+    if type(value) is int:
+        return str(value)
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        items = [str(x) if type(x) is int else _indented(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+    if isinstance(value, dict):
+        if not all(isinstance(k, str) for k in value):
+            # json converts such keys itself; no string it writes holds a raw newline
+            return json.dumps(value, indent=2).replace("\n", nl)
+        items = [json.dumps(k) + ": " + _indented(x, inner) for k, x in value.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    return json.dumps(value)
 
 
 # -- small input helpers ----------------------------------------------------

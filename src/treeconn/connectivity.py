@@ -16,10 +16,18 @@ Vertex connectivity follows Esfahanian and Hakimi (Networks 14, 1984): flows
 run only from a minimum-degree vertex v to its non-neighbours and between
 non-adjacent neighbours of v, (n - delta - 1) + delta(delta - 1)/2 at most.
 
+Count-only flows (`count_disjoint_paths`) first route one unit along each
+u-v path of length <= 2, up to `need`, so that their BFS rounds go only to
+the longer paths.  Augmenting from any feasible flow ends at a maximum flow,
+so the count, min(maximum, need), is the one an empty start gives; only the
+flow itself differs, and no caller reads it.
+
 Determinism contract: augmenting paths are found by BFS exploring the
 residual arcs of each node in ascending node order, and flow decomposition
 always follows the lowest available successor, so identical inputs give
-identical path systems and fans.
+identical path systems and fans.  The flows of `max_disjoint_paths` and
+`fan` start empty and are the ones pinned; a count-only flow is pinned only
+by its value.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ def _max_flow(
     avoid: frozenset[int],
     ends: frozenset[int] = frozenset(),
     shared: frozenset[int] = frozenset(),
+    seed: bool = False,
 ) -> list[Optional[set[int]]]:
     """Unit-capacity max flow via BFS augmentation on the vertex-split
     digraph of g minus `avoid`; returns `fwd`, the heads of the flow arcs
@@ -55,12 +64,32 @@ def _max_flow(
     so only its edges bound the flow through it.  The flow is kept per
     node: fwd[x] holds the heads of the flow arcs out of x, whose residual
     arcs are saturated, and back[x] their tails, the residual reverse arcs
-    out of x.  Each BFS stops when it reaches t."""
+    out of x.  Each BFS stops when it reaches t.
+
+    With `seed` (count-only callers, never with `ends`), the flow starts
+    with one unit on each path of length <= 2, up to `need`: the edge, then
+    one path through each common neighbour outside `avoid`, in g.adj order."""
     size = 2 * g.n + 1
     arcs: list = [None] * size
     fwd: list = [None] * size
     back: list = [None] * size
     value = 0
+    if seed:
+        u, v = s // 2, t // 2
+        near_v = set(g.adj[v]).difference(avoid)
+        routes = [(s, t)] if u in near_v else []  # the edge uv; u is never avoided
+        for c in g.adj[u]:
+            if c in near_v:
+                routes.append((s, 2 * c, t) if c in shared else (s, 2 * c, 2 * c + 1, t))
+        for route in routes[:need]:
+            for x, y in zip(route, route[1:]):
+                if fwd[x] is None:
+                    fwd[x] = set()
+                if back[y] is None:
+                    back[y] = set()
+                fwd[x].add(y)
+                back[y].add(x)
+            value += 1
     while need is None or value < need:
         # BFS over residual arcs, ascending node order.
         parent = [-1] * size
@@ -155,10 +184,16 @@ def count_disjoint_paths(
     """len(max_disjoint_paths(g, u, v, need, avoid)), read from the flow
     value without decomposing it.  Vertices in `shared` are not split: they
     may lie on any number of the paths, each of their edges on one, so only
-    their edges bound the count."""
+    their edges bound the count.
+
+    The flow starts from the edge uv and the paths u-c-v through common
+    neighbours c outside `avoid`, at most `need` of them, and BFS
+    augmentation finds the rest.  Augmenting from any feasible flow reaches
+    a maximum one, so the count is the one an empty start gives, although
+    the flow differs from the one `max_disjoint_paths` decomposes."""
     if u == v:
         raise ValueError("endpoints must differ")
-    fwd = _max_flow(g, 2 * u + 1, 2 * v, need, avoid - {u, v}, shared=shared - {u, v})
+    fwd = _max_flow(g, 2 * u + 1, 2 * v, need, avoid - {u, v}, shared=shared - {u, v}, seed=True)
     return len(fwd[2 * u + 1] or ())
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -552,6 +553,12 @@ def test_construction_bytes_pinned(monkeypatch):
     assert digest_of(certs) == (
         "208dc871f3319e939ea1c0106fbe9e036228ef3adc53300a4e930fe871ab4ba0"
     )
+
+
+def test_documents_are_json_dumps_indent_2():
+    for cert in _pinned_certificates():
+        doc = certificate_document(cert)
+        assert dump_document(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from treeconn import certificates, cli
 from treeconn.graphs import (
@@ -191,6 +192,36 @@ def test_certify_deterministic_output(k3_file, tmp_path):
         assert run(["certify", k3_file, k3_file, "--s", "0,0;1,1;2,2",
                     "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+_ODD_CHARS = st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀')
+_TEXT = st.text(st.one_of(_ODD_CHARS, st.characters()), max_size=6)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(),
+    st.integers(max_value=-(2**63)),
+    st.integers(min_value=2**63),
+    _TEXT,
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_TEXT, _VALUES, max_size=5))
+# keys that json converts itself, below the top level
+@example({"k": [{1: [2, {"a": 3}], None: {}, 2.5: "x", False: ()}]})
+def test_dump_document_is_json_dumps_indent_2(doc):
+    assert cli.dump_document(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_certify_budget_exhausted_exit(k3_file, capsys):

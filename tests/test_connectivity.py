@@ -22,6 +22,7 @@ from treeconn.graphs import (
     cartesian_product,
     complete,
     complete_bipartite,
+    complete_tripartite,
     cycle,
     path,
 )
@@ -77,6 +78,10 @@ SMALL_GRAPHS = [
     complete(5),
     complete_bipartite(2, 3),
     complete_bipartite(3, 3),
+    # many common neighbours, so the seeded length-2 paths of
+    # count_disjoint_paths decide most of their flows
+    complete_bipartite(3, 4),
+    complete_tripartite(2, 2, 3),
     cartesian_product(path(3), path(3)),
     cartesian_product(cycle(3), path(2)),
     Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]),
@@ -98,20 +103,64 @@ def test_vertex_connectivity_matches_cut_oracle(g):
     assert vertex_connectivity(g) == cut_oracle_global(g)
 
 
+def _without(g: Graph, avoid=frozenset(), edge=None) -> Graph:
+    """g minus the vertices of `avoid` (kept, isolated, so ids stay put) and
+    minus `edge`."""
+    return Graph(g.n, [e for e in g.edges if e != edge and not avoid.intersection(e)])
+
+
+def _oracle_count(g: Graph, u: int, v: int) -> int:
+    """Menger's count of internally disjoint u-v paths: the edge uv, if
+    present, is one path, and the rest cross a minimum cut of g - uv."""
+    if not g.has_edge(u, v):
+        return cut_oracle_local(g, u, v)
+    return 1 + cut_oracle_local(_without(g, edge=(u, v)), u, v)
+
+
 @pytest.mark.parametrize("g", SMALL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_local_connectivity_matches_cut_oracle(g):
     # and with one seeded vertex set A avoided: the flow on g must count
-    # the paths of g - A (A's vertices kept, isolated, so ids stay put)
+    # the paths of g - A
     rng = random.Random(g.n * 1000 + g.m)
     avoid = frozenset(rng.sample(range(g.n), g.n // 4))
-    g_minus = Graph(g.n, [(a, b) for a, b in g.edges if a not in avoid and b not in avoid])
+    g_minus = _without(g, avoid)
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                assert len(max_disjoint_paths(g, u, v)) == cut_oracle_local(g, u, v)
-                if u not in avoid and v not in avoid:
-                    got = len(max_disjoint_paths(g, u, v, avoid=avoid))
-                    assert got == cut_oracle_local(g_minus, u, v), (u, v, avoid)
+            want = _oracle_count(g, u, v)
+            assert len(max_disjoint_paths(g, u, v)) == want, (u, v)
+            assert count_disjoint_paths(g, u, v) == want, (u, v)
+            if u not in avoid and v not in avoid:
+                want = _oracle_count(g_minus, u, v)
+                assert len(max_disjoint_paths(g, u, v, avoid=avoid)) == want, (u, v, avoid)
+                assert count_disjoint_paths(g, u, v, avoid=avoid) == want, (u, v, avoid)
+
+
+@pytest.mark.parametrize("g", SMALL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_count_disjoint_paths_stops_at_need(g):
+    # `need` at and below the number of common neighbours, where the seeded
+    # length-2 paths alone reach it
+    for u, v in combinations(range(g.n), 2):
+        full = _oracle_count(g, u, v)
+        common = len(set(g.neighbors(u)) & set(g.neighbors(v)))
+        for need in range(common + 2):
+            assert count_disjoint_paths(g, u, v, need=need) == min(need, full), (u, v, need)
+
+
+def test_count_disjoint_paths_avoids_common_neighbours():
+    # K3,4: 0 and 1 share the neighbours 3, 4, 5, 6 and nothing else
+    g = complete_bipartite(3, 4)
+    for avoid in ({3}, {3, 4}, {3, 4, 5}, {3, 4, 5, 6}, {2, 4}):
+        avoid = frozenset(avoid)
+        want = cut_oracle_local(_without(g, avoid), 0, 1)
+        assert want == 4 - len(avoid - {2})
+        assert count_disjoint_paths(g, 0, 1, avoid=avoid) == want
+        assert count_disjoint_paths(g, 0, 1, need=3, avoid=avoid) == min(3, want)
+    # adjacent ends in K2,2,3: the edge 0-2 and one path through each of
+    # the three common neighbours 4, 5, 6; avoiding two of them leaves the
+    # edge, the third and the detour 0-3-1-2
+    g = complete_tripartite(2, 2, 3)
+    assert count_disjoint_paths(g, 0, 2) == _oracle_count(g, 0, 2) == 5
+    assert count_disjoint_paths(g, 0, 2, avoid=frozenset({4, 5})) == 3
 
 
 def test_known_connectivities():
@@ -146,6 +195,9 @@ def test_max_disjoint_paths_shared():
     # a shared vertex still passes each edge once: K1,3's centre
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert count_disjoint_paths(star, 1, 2, shared=frozenset({0})) == 1
+    # ... also the edge of a seeded path 1-0-2, which 1-3-0-2 cannot reuse
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 3)])
+    assert count_disjoint_paths(g, 1, 2, shared=frozenset({0})) == 1
 
 
 DIGEST_CALLS = 4839
