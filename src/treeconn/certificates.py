@@ -14,13 +14,14 @@ pair of S's coordinates that is not adjacent (Lemma 3.1 case 1), and that
 Lemma 4.1's reduced bundle and cycle segments exist.  Lemmas 3.1-3.3 remove
 X, kappa(H) - 1 inner vertices of disjoint paths, from H, which leaves it
 connected by the definition of kappa(H); Lemma 4.1's path shapes follow
-from the bundle's invariants.  Neither is tested.  Each
-construction assembles trees as unions of fiber pieces (paths, fans, whole
-fibers), materializes them (spanning tree + leaf trim) and re-verifies the
-whole bundle; when a hypothesis fails or the trees are rejected, it falls
-back to exact search on the product, tagged "search-fallback".  The product
-graph is built only where a search runs on it: by that fallback, and as
-the 3x3 grid G[us] box H[vs] that Lemma 3.1 case 2 packs in.
+from the bundle's invariants.  Neither is tested.  Each construction
+assembles trees as unions of fiber pieces (paths, fans, whole fibers),
+materializes them (spanning tree + leaf trim) and re-verifies the whole
+bundle.  Once the hypotheses hold, the trees are a packing, so a rejected
+tree is an internal error (AssertionError); only a failed hypothesis falls
+back to exact search on the product, tagged "search-fallback".  The
+product graph is built only where a search runs on it: by that fallback,
+and as the 3x3 grid G[us] box H[vs] that Lemma 3.1 case 2 packs in.
 `Certificate.verify` reads product adjacency from the factors.  Each
 construction computes the factors' invariants once (Lemma 3.4's kappa_3(G)
 by orbit pruning), and every search it runs ticks the caller's `Budget`
@@ -196,12 +197,10 @@ def _orientations(
     )
 
 
-def _materialize(edges: set[Edge], terminals: set[int]) -> Optional[STree]:
+def _materialize(edges: set[Edge], terminals: set[int]) -> STree:
     """Union of pieces -> BFS spanning tree from the least terminal -> the
     union of its paths from each terminal up to that root, which is the
-    spanning tree with its non-terminal leaves trimmed.
-
-    Returns None when the union fails to connect the terminals."""
+    spanning tree with its non-terminal leaves trimmed."""
     root = min(terminals)
     adj: dict[int, list[int]] = {root: []}
     for a, b in edges:
@@ -214,8 +213,7 @@ def _materialize(edges: set[Edge], terminals: set[int]) -> Optional[STree]:
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
-    if not terminals <= parent.keys():
-        return None
+    assert terminals <= parent.keys(), "internal error: a tree misses a terminal"
     tree: set[Edge] = set()
     for t in terminals:
         while t != root and norm_edge(t, parent[t]) not in tree:
@@ -230,32 +228,27 @@ def _materialize(edges: set[Edge], terminals: set[int]) -> Optional[STree]:
 def _fallback(
     g: Graph, h: Graph, s: Sequence[int], claimed: int, budget: Optional[Budget]
 ) -> Certificate:
-    """Exact search on the product, working downward from the claimed bound."""
+    """Exact search on the product, working downward from the claimed bound
+    (at least 1: kappa(G) + kappa(H) - 1 or the Lemma 4.1 bound)."""
     r, bundle = max_internally_disjoint_trees(
-        cartesian_product(g, h), s, budget, upper=max(claimed, 1)
+        cartesian_product(g, h), s, budget, upper=claimed
     )
     return Certificate(g, h, bundle.s, bundle, "search-fallback", r)
 
 
 def _finish(
-    g: Graph,
-    h: Graph,
-    s: Sequence[int],
-    tree_edge_sets: list[set[Edge]],
-    tag: str,
+    g: Graph, h: Graph, s: Sequence[int], tree_edge_sets: list[set[Edge]], tag: str,
     claimed: int,
-    budget: Optional[Budget],
 ) -> Certificate:
-    """Materialize + verify (which counts the trees), falling back to search
-    when either rejects them."""
+    """Materialize the trees and verify the bundle, which counts them.  The
+    construction's hypotheses held, so its trees are a packing and a
+    rejection is a fault, never a case for search."""
     terms = tuple(sorted(s))
-    trees = [_materialize(es, set(terms)) for es in tree_edge_sets]
-    if None not in trees:
-        bundle = STreeBundle(terms, tuple(trees))
-        cert = Certificate(g, h, terms, bundle, tag, claimed)
-        if cert.verify() is None:
-            return cert
-    return _fallback(g, h, s, claimed, budget)
+    trees = tuple(_materialize(es, set(terms)) for es in tree_edge_sets)
+    cert = Certificate(g, h, terms, STreeBundle(terms, trees), tag, claimed)
+    err = cert.verify()
+    assert err is None, f"internal error: constructed certificate invalid: {err}"
+    return cert
 
 
 # -- all-distinct position (k + l - 1 trees) -------------------------------
@@ -277,7 +270,7 @@ def construct_lemma31(
     tri_h = all(h.has_edge(a, b) for a, b in permutations(vs, 2) if a < b)
     if tri_g and tri_h:
         trees = _lemma31_case2(g, h, pairs, kg, kh, budget)
-        return _finish(g, h, s, trees, "3.1/2", claimed, budget)
+        return _finish(g, h, s, trees, "3.1/2", claimed)
     for cg, ch, k, l, cpairs, hpath, gpath in _orientations(g, h, kg, kh, pairs):
         if k < 2:
             continue
@@ -286,7 +279,7 @@ def construct_lemma31(
             if ch.has_edge(v1, v2):
                 continue
             trees, tag = _lemma31_case1(cg, ch, k, l, u1, u2, u3, v1, v2, v3, hpath, gpath, h.n)
-            return _finish(g, h, s, trees, tag, claimed, budget)
+            return _finish(g, h, s, trees, tag, claimed)
     return _fallback(g, h, s, claimed, budget)
 
 
@@ -398,7 +391,7 @@ def construct_lemma32(
     l = vertex_connectivity(h)
     claimed = k + l - 1
     trees = _lemma32_build(g, h, u1, u2, v1, v2, m, k, l)
-    return _finish(g, h, s, trees, "3.2", claimed, budget)
+    return _finish(g, h, s, trees, "3.2", claimed)
 
 
 def _h_opening(h: Graph, v1: int, v2: int, l: int) -> tuple[list[list[int]], set[int]]:
@@ -447,7 +440,7 @@ def construct_lemma33(
     u1, u2 = sorted(u for u, v in cpairs if v == v1)
     (u3,) = [u for u, v in cpairs if v == v2]
     trees = _lemma33_build(cg, ch, k, l, u1, u2, u3, v1, v2, hpath, gpath, h.n)
-    return _finish(g, h, s, trees, "3.3", claimed, budget)
+    return _finish(g, h, s, trees, "3.3", claimed)
 
 
 def _lemma33_build(cg, ch, k, l, u1, u2, u3, v1, v2, hpath, gpath, m) -> list[set[Edge]]:
@@ -488,7 +481,7 @@ def construct_lemma34(
     _, gbundle = max_internally_disjoint_trees(g, us, budget)
     trees = [_fiber(_gpath, t, v1, m) for t in gbundle.trees]
     trees += [_star(_hpath, _gpath, g, v1, nb, us, m) for nb in h.neighbors(v1)]
-    return _finish(g, h, s, trees, "3.4", claimed, budget)
+    return _finish(g, h, s, trees, "3.4", claimed)
 
 
 # -- same-H-fiber position -------------------------------------------------
@@ -522,6 +515,8 @@ def construct_lemma41(
     pos = classify_position(g, h, s)
     if pos.label != "same-h-fiber":
         raise ValueError("S must lie in a single fiber of the product")
+    if budget is None:  # one budget for every bundle, segment and fallback search
+        budget = Budget()
     pairs = pos.pairs
     u1 = pairs[0][0]
     vset = sorted(v for _, v in pairs)
@@ -578,7 +573,7 @@ def construct_lemma41(
         elif t == 2:
             trees += braid(through[0], through[1], tail[1], tail[0])
         trees += stars(nbrs)
-        return _finish(g, h, s, trees, f"4.1/t={t}", claimed, budget)
+        return _finish(g, h, s, trees, f"4.1/t={t}", claimed)
 
     # t >= 3: route three trees per neighbor through a cycle in H minus
     # {v1, v2, v3}, threaded via that neighbor's fiber.  A through-path is
@@ -589,10 +584,9 @@ def construct_lemma41(
     othrough = sorted(through, key=lambda p: v3 in (p[1], p[-2]))
     otail = sorted(tail, key=lambda p: len(p) > 2)
     n_groups = t - 2 if delta1 >= t - 2 else delta1
-    sbudget = budget if budget is not None else Budget()
     for j in range(1, n_groups + 1):
         built = _lemma41_group(
-            h, othrough[j - 1], otail[t - j], v1, v2, v3, u1, nbrs[j - 1], m, sbudget
+            h, othrough[j - 1], otail[t - j], v1, v2, v3, u1, nbrs[j - 1], m, budget
         )
         if built is None:
             return _fallback(g, h, s, claimed, budget)
@@ -610,7 +604,7 @@ def construct_lemma41(
         if left:
             trees.append(_hpath(othrough[left[0]], u1, m))
     tag = "4.1/case2.1" if l >= 7 else "4.1/case2-cycle"
-    return _finish(g, h, s, trees, tag, claimed, budget)
+    return _finish(g, h, s, trees, tag, claimed)
 
 
 def _lemma41_group(

@@ -251,6 +251,23 @@ def test_cycle_finder_validates_input():
         find_cycle_through_edges(cycle(6), (0, 1), (2, 3), (4, 5))  # kappa 2
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: find_reduced_bundle(complete(6), 4, 0, 0, 1), "anchor vertices must be distinct"),
+        # (0, 1) joins two vertices of one side of K3,3
+        (
+            lambda: find_cycle_through_edges(complete_bipartite(3, 3), (0, 1), (2, 3), (4, 5)),
+            r"\(0,1\) is not an edge",
+        ),
+    ],
+    ids=["repeated-anchor", "non-edge"],
+)
+def test_bundles_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_cycle_canonical_form():
     g = cartesian_product(cycle(3), path(2))
     for triple in _independent_triples(g):

@@ -335,6 +335,26 @@ def test_lower_bound_theorem15_ranges():
     assert bound(complete(4), 10) is None
 
 
+# K3 box K3: (0, 4, 8) all-distinct, (0, 1, 3) corner-share, (0, 3, 6)
+# same-g-fiber, (0, 1, 2) same-h-fiber
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: construct_lemma31(g, g, (0, 1, 2)), "all-distinct coordinates"),
+        (lambda g: construct_lemma32(g, g, (0, 4, 8)), "corner shape"),
+        (lambda g: construct_lemma33(g, g, (0, 1, 3)), "exactly one shared coordinate"),
+        (lambda g: construct_lemma34(g, g, (0, 1, 2)), "single layer"),
+        (lambda g: construct_lemma41(g, g, (0, 3, 6)), "single fiber"),
+        (lambda g: lower_bound_theorem15(0, 0, 2), "nontrivial connected factor"),
+        (lambda g: lower_bound_theorem15(1, 1, 0), "l >= 1"),
+    ],
+    ids=["3.1", "3.2", "3.3", "3.4", "4.1", "theorem15-kg", "theorem15-l"],
+)
+def test_certificates_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(complete(3))
+
+
 def test_join_complete_empty2_factor():
     # K2 join empty pair: kappa 2 yet kappa3 also 2? cross-check via search
     g = join_complete_empty2(2)
@@ -469,6 +489,31 @@ def test_lemma41_forced_t_beyond_half_the_connectivity():
     assert cert.verify() is None
 
 
+def test_lemma41_makes_one_budget_per_call(monkeypatch):
+    # forced t = 2 on P2 box K4 (l = 3) finds no bundle at any of the three
+    # v3 and falls back: the bundle searches and the fallback share the one
+    # default budget the call makes
+    made = []
+    real_init = Budget.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Budget, "__init__", counting_init)
+    searched = []
+    real_search = certificates.find_reduced_bundle
+
+    def counting_search(*args, **kwargs):
+        searched.append(args[4])
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "find_reduced_bundle", counting_search)
+    cert = construct_lemma41(path(2), complete(4), [0, 1, 2], t=2)
+    assert cert.provenance == "search-fallback"
+    assert searched == [0, 1, 2] and len(made) == 1
+
+
 # -- caller's budget and pinned bytes --------------------------------------
 
 
@@ -561,20 +606,30 @@ def test_documents_are_json_dumps_indent_2():
         assert dump_document(doc) == json.dumps(doc, indent=2) + "\n"
 
 
+def _one_union_twice(*args, build=certificates._lemma32_build):
+    trees = build(*args)
+    return trees + trees[:1]
+
+
 @pytest.mark.parametrize(
-    "union",
-    [{(1, 4)}, {(0, 1)}],
-    ids=["misses-the-root", "misses-a-terminal"],
+    "build, message",
+    [
+        (lambda *args: [{(1, 4)}], "misses a terminal"),
+        (lambda *args: [{(0, 1)}], "misses a terminal"),
+        (_one_union_twice, "certificate invalid: trees 1,4 share edge"),
+    ],
+    ids=["misses-the-root", "misses-a-terminal", "one-union-twice"],
 )
-def test_finish_falls_back_when_a_piece_misses_a_terminal(monkeypatch, union):
+def test_a_rejected_construction_raises_instead_of_falling_back(monkeypatch, build, message):
     # corner-share S = {(0,0), (0,1), (1,0)} = {0, 1, 3} of K3 box K3; a
-    # union without the least terminal, or without terminal 3, connects no S
-    monkeypatch.setattr(certificates, "_lemma32_build", lambda *args: [set(union)])
+    # union without the least terminal, or without terminal 3, connects no
+    # S, and a tree listed twice is no packing.  The hypotheses of Lemma 3.2
+    # hold, so each is a fault of the construction, not a case for search
+    monkeypatch.setattr(certificates, "_lemma32_build", build)
+    monkeypatch.setattr(certificates, "_fallback", None)
     g = h = complete(3)
-    cert = certify(g, h, _s(g, h, [(0, 0), (0, 1), (1, 0)]))
-    assert cert.provenance == "search-fallback"
-    assert cert.verify() is None
-    assert len(cert.bundle) == cert.claimed_bound == 3
+    with pytest.raises(AssertionError, match=f"internal error: .*{message}"):
+        certify(g, h, _s(g, h, [(0, 0), (0, 1), (1, 0)]))
 
 
 # -- the one-pass verifier --------------------------------------------------

@@ -269,6 +269,15 @@ def test_certify_rechecks_the_certificate_it_writes(k3_file, monkeypatch, capsys
     assert "internal error: constructed certificate invalid: bundle has 3 trees" in err
 
 
+def test_certify_exits_4_on_a_construction_verify_rejects(k3_file, monkeypatch, capsys):
+    # a corner-share construction whose one tree misses terminal (1, 0)
+    from treeconn import certificates
+
+    monkeypatch.setattr(certificates, "_lemma32_build", lambda *args: [{(0, 1)}])
+    assert run(["certify", k3_file, k3_file, "--s", "0,0;0,1;1,0"]) == cli.EXIT_INTERNAL
+    assert "internal error: a tree misses a terminal" in capsys.readouterr().err
+
+
 def test_internal_fault_exit(k3_file, monkeypatch, capsys):
     from treeconn import certificates
 

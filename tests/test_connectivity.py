@@ -484,6 +484,19 @@ def test_count_disjoint_paths_rejects_equal_endpoints():
         count_disjoint_paths(complete(3), 0, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: max_disjoint_paths(complete(3), 1, 1), "endpoints must differ"),
+        (lambda: kappa3_range_from_kappa(-1), "kappa must be nonnegative"),
+    ],
+    ids=["paths-u-to-u", "negative-kappa"],
+)
+def test_connectivity_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_count_only_callers_never_decompose(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a count-only caller decomposed a flow")

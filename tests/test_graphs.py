@@ -65,6 +65,25 @@ def test_generate_validates():
         graphs.generate("cycle", [2])
 
 
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (complete, (0,), "complete graph needs n >= 1"),
+        (graphs.complete_multipartite, (2, 0), "part sizes must be positive"),
+        (graphs.complete_multipartite, (), "part sizes must be positive"),
+        (cycle, (2,), "cycle needs n >= 3"),
+        (path, (0,), "path needs n >= 1"),
+        (join_complete_empty2, (0,), "need a >= 1"),
+        # 1001 * 1001 vertices exceed MAX_PRODUCT_VERTICES
+        (cartesian_product, (Graph(1001, []), Graph(1001, [])), "product too large"),
+    ],
+    ids=["complete", "part", "no-parts", "cycle", "path", "join", "product"],
+)
+def test_generators_refuse_bad_sizes(build, args, message):
+    with pytest.raises(ValueError, match=message):
+        build(*args)
+
+
 def test_join_complete_empty2_structure():
     # K_a + two pairwise nonadjacent extras, each joined to all of K_a
     g = join_complete_empty2(3)
@@ -123,6 +142,8 @@ def test_parse_rejects_malformed():
         "3 2\n0 1\n0 1\n",  # duplicate
         "3 x\n",
         "3\n",
+        "0 0\n",  # no vertex
+        "3 -1\n",  # negative edge count
     ]:
         with pytest.raises(GraphFormatError):
             parse_edge_list(text)

@@ -316,6 +316,20 @@ def test_pack_trees_pairwise_flow_prune_pinned():
     assert budget.used == 58
 
 
+@pytest.mark.parametrize("use_symmetry, ticks", [(False, 163), (True, 201)])
+def test_kappa_k_pairwise_flow_prune_on_a_bridge(use_symmetry, ticks):
+    # two copies of K7 joined by the edge 0-7: every 3-set across the bridge
+    # admits one tree, which only the pairwise flow check of `_feasible`
+    # proves before trees are listed; without it 5 * 10**6 ticks do not
+    # decide the graph
+    k7 = list(combinations(range(7), 2))
+    g = Graph(14, k7 + [(a + 7, b + 7) for a, b in k7] + [(0, 7)])
+    budget = Budget(10**4)
+    value, witness, _ = kappa_k(g, 3, budget, use_symmetry=use_symmetry)
+    assert (value, witness) == (1, (0, 1, 7))
+    assert budget.used == ticks
+
+
 def test_pack_trees_k223_exhaustion_ticks_pinned():
     # one of the K2,2,3 exhaustion proofs of the kappa3-exact bench: the
     # root passes the degree, counting and flow checks, and the search must
@@ -744,6 +758,40 @@ def test_formula_rejects_bad_input():
         kappa3_formula("complete", [2])
     with pytest.raises(ValueError):
         kappa3_formula("unknown", [1])
+
+
+_SPLIT = Graph(4, [(0, 1), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: list(iter_minimal_s_trees(complete(3), (0,))), "at least two terminals"),
+        (lambda: pack_trees(complete(3), (0,), 1), "at least two terminals"),
+        (lambda: pack_trees(complete(3), (0, 1, 2), 0), "r must be positive"),
+        (lambda: max_internally_disjoint_trees(complete(3), (1, 1)), "at least two terminals"),
+        (lambda: max_internally_disjoint_trees(_SPLIT, (0, 1, 2)), "must be connected"),
+        (lambda: kappa_k(complete(3), 1), r"need 2 <= k <= n"),
+        (lambda: kappa_k(complete(3), 4), r"need 2 <= k <= n"),
+        (lambda: kappa_k(_SPLIT, 3), "must be connected"),
+        (lambda: kappa3_formula("complete_bipartite", [1, 1]), r"a \+ b >= 3"),
+        (lambda: kappa3_formula("complete_tripartite", [0, 1, 2]), "parts must be positive"),
+        (lambda: kappa3_formula("cycle", [2]), "a cycle needs n >= 3"),
+        (lambda: kappa3_formula("cycle_product", [0]), "at least one cycle factor"),
+        (lambda: kappa3_formula("complete_times_complete", [1, 1]), "b >= 2"),
+        (lambda: kappa3_formula("complete_times_tripartite_aaa", [0, 2]), "a >= 1"),
+        (lambda: kappa3_formula("complete_times_tripartite_a_a1_a1", [1, 1]), "b >= 2"),
+    ],
+    ids=[
+        "trees-one-terminal", "pack-one-terminal", "pack-r-0", "max-one-terminal",
+        "max-disconnected", "kappa-k-1", "kappa-k-above-n", "kappa-disconnected",
+        "formula-bipartite", "formula-tripartite", "formula-cycle", "formula-cycle-product",
+        "formula-kk", "formula-k-aaa", "formula-k-a-a1-a1",
+    ],
+)
+def test_packing_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # -- invariants under relabeling -------------------------------------------
