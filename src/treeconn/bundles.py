@@ -149,7 +149,8 @@ def find_reduced_bundle(
         rb = _search_bundle(g, k, u1, u2, u3, tv, budget)
         if rb is not None:
             err = verify_reduced_bundle(g, rb)
-            assert err is None, f"internal error: invalid bundle found: {err}"
+            if err is not None:
+                raise AssertionError(f"internal error: invalid bundle found: {err}")
             return rb
     return None
 

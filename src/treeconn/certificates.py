@@ -213,7 +213,8 @@ def _materialize(edges: set[Edge], terminals: set[int]) -> STree:
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
-    assert terminals <= parent.keys(), "internal error: a tree misses a terminal"
+    if not terminals <= parent.keys():
+        raise AssertionError("internal error: a tree misses a terminal")
     tree: set[Edge] = set()
     for t in terminals:
         while t != root and norm_edge(t, parent[t]) not in tree:
@@ -247,7 +248,8 @@ def _finish(
     trees = tuple(_materialize(es, set(terms)) for es in tree_edge_sets)
     cert = Certificate(g, h, terms, STreeBundle(terms, trees), tag, claimed)
     err = cert.verify()
-    assert err is None, f"internal error: constructed certificate invalid: {err}"
+    if err is not None:
+        raise AssertionError(f"internal error: constructed certificate invalid: {err}")
     return cert
 
 

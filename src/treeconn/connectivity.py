@@ -17,10 +17,14 @@ run only from a minimum-degree vertex v to its non-neighbours and between
 non-adjacent neighbours of v, (n - delta - 1) + delta(delta - 1)/2 at most.
 
 Count-only flows (`count_disjoint_paths`) first route one unit along each
-u-v path of length <= 2, up to `need`, so that their BFS rounds go only to
-the longer paths.  Augmenting from any feasible flow ends at a maximum flow,
+u-v path of length <= 2 and then along up to one disjoint path u-c-d-v per
+other neighbour c of u, up to `need`.  When these reach `need` they are the
+answer and no flow runs; otherwise BFS rounds go only to the longer paths
+and to rerouting.  Augmenting from any feasible flow ends at a maximum flow,
 so the count, min(maximum, need), is the one an empty start gives; only the
-flow itself differs, and no caller reads it.
+flow itself differs, and no caller reads it.  A count may skip a set of
+banned edges, which the seed routes and the flow's arcs both leave out, so
+`packing._feasible` counts in its residual graph without building it.
 
 Determinism contract: augmenting paths are found by BFS exploring the
 residual arcs of each node in ascending node order, and flow decomposition
@@ -34,10 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .errors import Budget
-from .graphs import Graph
+from .graphs import Edge, Graph, norm_edge
 
 
 def _max_flow(
@@ -48,48 +52,43 @@ def _max_flow(
     avoid: frozenset[int],
     ends: frozenset[int] = frozenset(),
     shared: frozenset[int] = frozenset(),
-    seed: bool = False,
+    banned: AbstractSet[Edge] = frozenset(),
+    seed: Sequence[Sequence[int]] = (),
 ) -> list[Optional[set[int]]]:
     """Unit-capacity max flow via BFS augmentation on the vertex-split
-    digraph of g minus `avoid`; returns `fwd`, the heads of the flow arcs
-    out of each split node (None where there are none).  The flow value is
-    len(fwd[s] or ()); only callers that need the paths `_decompose` it.
+    digraph of g minus `avoid` and the `banned` edges; returns `fwd`, the
+    heads of the flow arcs out of each split node (None where there are
+    none).  The flow value is len(fwd[s] or ()); only callers that need the
+    paths `_decompose` it.
 
     Vertex v has in-node 2v and out-node 2v+1, and node 2n is free for a
     fan's auxiliary sink.  Each node's arcs are read from g.adj once per
     call, when a BFS first reaches it: in(v) -> out(v); out(v) -> t when v
     is in `ends` (a fan terminal, never passed through); otherwise
-    out(v) -> in(w) for each neighbour w outside `avoid`, ascending.  A
-    vertex in `shared` is not split: its in-node takes the out-node's arcs,
-    so only its edges bound the flow through it.  The flow is kept per
-    node: fwd[x] holds the heads of the flow arcs out of x, whose residual
-    arcs are saturated, and back[x] their tails, the residual reverse arcs
-    out of x.  Each BFS stops when it reaches t.
+    out(v) -> in(w) for each neighbour w outside `avoid`, ascending, whose
+    edge vw is not banned.  A vertex in `shared` is not split: its in-node
+    takes the out-node's arcs, so only its edges bound the flow through it.
+    The flow is kept per node: fwd[x] holds the heads of the flow arcs out
+    of x, whose residual arcs are saturated, and back[x] their tails, the
+    residual reverse arcs out of x.  Each BFS stops when it reaches t.
 
-    With `seed` (count-only callers, never with `ends`), the flow starts
-    with one unit on each path of length <= 2, up to `need`: the edge, then
-    one path through each common neighbour outside `avoid`, in g.adj order."""
+    The flow starts with one unit along each `seed` route, a list of split
+    nodes from s to t (`_seed_routes`; count-only callers only, never with
+    `ends`); the routes must be internally disjoint, at most `need` of
+    them."""
     size = 2 * g.n + 1
     arcs: list = [None] * size
     fwd: list = [None] * size
     back: list = [None] * size
-    value = 0
-    if seed:
-        u, v = s // 2, t // 2
-        near_v = set(g.adj[v]).difference(avoid)
-        routes = [(s, t)] if u in near_v else []  # the edge uv; u is never avoided
-        for c in g.adj[u]:
-            if c in near_v:
-                routes.append((s, 2 * c, t) if c in shared else (s, 2 * c, 2 * c + 1, t))
-        for route in routes[:need]:
-            for x, y in zip(route, route[1:]):
-                if fwd[x] is None:
-                    fwd[x] = set()
-                if back[y] is None:
-                    back[y] = set()
-                fwd[x].add(y)
-                back[y].add(x)
-            value += 1
+    for route in seed:
+        for x, y in zip(route, route[1:]):
+            if fwd[x] is None:
+                fwd[x] = set()
+            if back[y] is None:
+                back[y] = set()
+            fwd[x].add(y)
+            back[y].add(x)
+    value = len(seed)
     while need is None or value < need:
         # BFS over residual arcs, ascending node order.
         parent = [-1] * size
@@ -105,6 +104,8 @@ def _max_flow(
                     out = (t,)
                 else:
                     out = [2 * w for w in g.adj[v] if w not in avoid]
+                    if banned:
+                        out = [y for y in out if norm_edge(v, y // 2) not in banned]
                 arcs[x] = out
             heads, tails = fwd[x], back[x]
             if heads:
@@ -180,21 +181,76 @@ def count_disjoint_paths(
     need: Optional[int] = None,
     avoid: frozenset[int] = frozenset(),
     shared: frozenset[int] = frozenset(),
+    banned: AbstractSet[Edge] = frozenset(),
 ) -> int:
-    """len(max_disjoint_paths(g, u, v, need, avoid)), read from the flow
-    value without decomposing it.  Vertices in `shared` are not split: they
-    may lie on any number of the paths, each of their edges on one, so only
+    """len(max_disjoint_paths(g', u, v, need, avoid)), g' being g without
+    the `banned` edges (each as (a, b), a < b), read from the flow value
+    without decomposing it.  Vertices in `shared` are not split: they may
+    lie on any number of the paths, each of their edges on one, so only
     their edges bound the count.
 
-    The flow starts from the edge uv and the paths u-c-v through common
-    neighbours c outside `avoid`, at most `need` of them, and BFS
-    augmentation finds the rest.  Augmenting from any feasible flow reaches
-    a maximum one, so the count is the one an empty start gives, although
-    the flow differs from the one `max_disjoint_paths` decomposes."""
+    The flow starts from the disjoint short routes of `_seed_routes`; when
+    they reach `need` they are the answer and no flow runs, and otherwise
+    BFS augmentation finds the rest.  Augmenting from any feasible flow
+    reaches a maximum one, so the count is the one an empty start gives,
+    although the flow differs from the one `max_disjoint_paths`
+    decomposes."""
     if u == v:
         raise ValueError("endpoints must differ")
-    fwd = _max_flow(g, 2 * u + 1, 2 * v, need, avoid - {u, v}, shared=shared - {u, v}, seed=True)
+    avoid = avoid - {u, v}
+    shared = shared - {u, v}
+    routes = _seed_routes(g, u, v, need, avoid, shared, banned)
+    if len(routes) == need:
+        return need
+    fwd = _max_flow(g, 2 * u + 1, 2 * v, need, avoid, shared=shared, banned=banned, seed=routes)
     return len(fwd[2 * u + 1] or ())
+
+
+def _seed_routes(
+    g: Graph,
+    u: int,
+    v: int,
+    need: Optional[int],
+    avoid: frozenset[int],
+    shared: frozenset[int],
+    banned: AbstractSet[Edge],
+) -> list[tuple[int, ...]]:
+    """Internally disjoint u-v routes, as split nodes from out(u) to in(v),
+    at most `need` of them, through no avoided vertex or banned edge: the
+    edge uv; u-c-v through each common neighbour c, in g.adj[u] order (a
+    shared c unsplit); then, while fewer than `need`, one u-c-d-v route for
+    each other neighbour c of u in g.adj[u] order, d the first neighbour of
+    c in g.adj[c] order that is adjacent to v and on no route, c and d
+    unshared."""
+    def free(a: int, b: int) -> bool:
+        return not banned or ((a, b) if a < b else (b, a)) not in banned
+
+    s, t = 2 * u + 1, 2 * v
+    near_v = {w for w in g.adj[v] if w not in avoid and free(w, v)}
+    routes: list[tuple[int, ...]] = [(s, t)] if u in near_v else []
+    used = {u}
+    others = []  # the candidates c, in g.adj[u] order
+    for c in g.adj[u]:
+        if c in avoid or not free(u, c):
+            continue
+        if c in near_v:
+            routes.append((s, 2 * c, t) if c in shared else (s, 2 * c, 2 * c + 1, t))
+            used.add(c)
+        elif c != v and c not in shared:
+            others.append(c)
+    if need is not None and len(routes) >= need:
+        return routes[:need]
+    # no c is in near_v, so no c can be a d: only the d's need tracking
+    ends = near_v.difference(used, shared)
+    for c in others:
+        for d in g.adj[c]:
+            if d in ends and free(c, d):
+                ends.remove(d)
+                routes.append((s, 2 * c, 2 * c + 1, 2 * d, 2 * d + 1, t))
+                break
+        if len(routes) == need:
+            break
+    return routes
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -329,7 +385,8 @@ def fan(
         return None
     result = Fan(x, y, tuple(tuple(p) for p in paths))
     err = result.check(g)
-    assert err is None, f"internal error: flow produced invalid fan: {err}"
+    if err is not None:
+        raise AssertionError(f"internal error: flow produced invalid fan: {err}")
     return result
 
 

@@ -225,12 +225,12 @@ def _feasible(
         return False
     if rem >= 2:
         # each tree holds an a-b path; the paths share no edge and no vertex
-        # outside S, but may pass through the other terminals
-        residual = Graph(g.n, g.edges - banned_e) if banned_e else g
+        # outside S, but may pass through the other terminals; the flows
+        # skip the banned edges as they read g, so no residual graph is built
         avoid = frozenset(banned_v)
         sset = frozenset(terms)
         for a, b in combinations(terms, 2):
-            if count_disjoint_paths(residual, a, b, rem, avoid, sset) < rem:
+            if count_disjoint_paths(g, a, b, rem, avoid, sset, banned_e) < rem:
                 return False
     return True
 
@@ -283,11 +283,12 @@ def _checked_bundle(
     g: Graph, terms: tuple[int, ...], trees: list[STree]
 ) -> STreeBundle:
     """The bundle of `trees` on S = `terms`, listed in ascending order of
-    their least edge (the order `pack_trees` finds them in), asserted to
-    pass `verify_bundle`."""
+    their least edge (the order `pack_trees` finds them in); AssertionError
+    unless it passes `verify_bundle`."""
     bundle = STreeBundle(terms, tuple(sorted(trees, key=lambda t: min(t.edges))))
     err = verify_bundle(g.has_edge, bundle)
-    assert err is None, f"internal error: packed bundle invalid: {err}"
+    if err is not None:
+        raise AssertionError(f"internal error: packed bundle invalid: {err}")
     return bundle
 
 
@@ -444,7 +445,8 @@ def max_internally_disjoint_trees(
         ub = min(ub, upper)
     r, _ = _kappa_value(g, terms, ub, budget)
     bundle = pack_trees(g, terms, r, budget)
-    assert bundle is not None, "internal error: decided packing not found"
+    if bundle is None:
+        raise AssertionError("internal error: decided packing not found")
     return r, bundle
 
 

@@ -1,7 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -630,6 +635,37 @@ def test_a_rejected_construction_raises_instead_of_falling_back(monkeypatch, bui
     g = h = complete(3)
     with pytest.raises(AssertionError, match=f"internal error: .*{message}"):
         certify(g, h, _s(g, h, [(0, 0), (0, 1), (1, 0)]))
+
+
+def test_a_rejected_construction_raises_under_python_O():
+    # `python -O` strips assert statements, so the internal checks raise
+    # AssertionError themselves: the one-union-twice case above must still
+    # raise rather than return a certificate that verify() rejects
+    script = textwrap.dedent("""
+        from treeconn import certificates
+        from treeconn.graphs import complete
+
+        build = certificates._lemma32_build
+        certificates._lemma32_build = lambda *args: build(*args) + build(*args)[:1]
+        print("debug", __debug__)
+        try:
+            cert = certificates.certify(complete(3), complete(3), (0, 1, 3))
+        except AssertionError as exc:
+            print("raised", exc)
+        else:
+            print("returned", cert.provenance, cert.verify())
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "debug False",
+        "raised internal error: constructed certificate invalid: "
+        "trees 1,4 share edge (0, 2)",
+    ]
 
 
 # -- the one-pass verifier --------------------------------------------------

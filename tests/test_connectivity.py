@@ -198,6 +198,14 @@ def test_max_disjoint_paths_shared():
     # ... also the edge of a seeded path 1-0-2, which 1-3-0-2 cannot reuse
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 3)])
     assert count_disjoint_paths(g, 1, 2, shared=frozenset({0})) == 1
+    # ... and no length-3 seed passes a shared vertex: every 0-5 path
+    # passes the shared 1, which has two edges on, 1-2 and 1-3; a seed
+    # 0-1-2-5 that split 1 would give it a second node with arcs of its
+    # own, and 1-3 would carry two paths
+    g = Graph(8, [(0, 1), (0, 4), (0, 7), (1, 4), (1, 7), (1, 2), (2, 5),
+                  (1, 3), (3, 5), (3, 6), (5, 6)])
+    for need in (None, 2, 3):
+        assert count_disjoint_paths(g, 0, 5, need, shared=frozenset({1, 3})) == 2
 
 
 DIGEST_CALLS = 4839
@@ -477,6 +485,44 @@ def test_count_disjoint_paths_matches_path_count():
             need = rng.choice((None, 1, 2, 3, 5))
             want = len(max_disjoint_paths(g, u, v, need, avoid))
             assert count_disjoint_paths(g, u, v, need, avoid) == want
+
+
+def test_count_disjoint_paths_banned_edges_match_the_graph_without_them():
+    # the edge filter of `_feasible` against the residual graph it replaces
+    rng = random.Random(27)
+    for _ in range(150):
+        n = rng.randint(4, 16)
+        p = rng.choice((0.25, 0.4, 0.6))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for _ in range(4):
+            banned = frozenset(e for e in g.edges if rng.random() < 0.3)
+            residual = Graph(n, g.edges - banned)
+            u, v = rng.sample(range(n), 2)
+            avoid = frozenset(w for w in range(n) if rng.random() < 0.15)
+            shared = frozenset(w for w in range(n) if w not in avoid and rng.random() < 0.2)
+            need = rng.choice((None, 1, 2, 3, 5))
+            want = count_disjoint_paths(residual, u, v, need, avoid, shared)
+            got = count_disjoint_paths(g, u, v, need, avoid, shared, banned)
+            assert got == want, (g.edges, banned, u, v, need, avoid, shared)
+
+
+def test_count_disjoint_paths_reroutes_a_seeded_path():
+    # the length-3 seed for 0 and 5 is 0-1-2-5, which blocks 0-3-2: the
+    # flow must send 0-3-2 on through the seed's reverse arc 2 -> 1 to 4
+    g = Graph(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 2), (1, 4), (4, 5)])
+    assert len(max_disjoint_paths(g, 0, 5)) == 2
+    for need in (None, 2, 3):
+        assert count_disjoint_paths(g, 0, 5, need) == 2
+
+
+def test_count_disjoint_paths_returns_at_once_when_short_paths_reach_need(monkeypatch):
+    # every pair of K4,4 has 4 common neighbours, so vertex_connectivity's
+    # flows are all decided by their seed routes and none runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(connectivity, "_max_flow", refuse)
+    assert vertex_connectivity(complete_bipartite(4, 4)) == 4
 
 
 def test_count_disjoint_paths_rejects_equal_endpoints():

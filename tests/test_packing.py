@@ -439,6 +439,28 @@ def test_decide_k223_proof_ticks_pinned():
     assert budget.used == 115
 
 
+def test_k223_proofs_build_no_graph(monkeypatch):
+    # the pair flows of `_feasible` skip the banned edges as they read g,
+    # so neither K2,2,3 proof above builds a residual graph at its nodes,
+    # and both keep their ticks
+    builds = []
+    real = packing.Graph
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(packing, "Graph", counting)
+    g = complete_tripartite(2, 2, 3)
+    budget = Budget()
+    assert pack_trees(g, (0, 2, 4), 4, budget) is None
+    assert budget.used == 485
+    budget = Budget()
+    assert not packing._decide(g, (0, 2, 4), 4, budget)
+    assert budget.used == 115
+    assert builds == []
+
+
 def test_decide_p3_k5_minus_edge_proof_ticks_pinned():
     # P3 box (K5 - (3, 4)): every terminal of S = {3, 4, 13} has degree 4,
     # and no 4 trees exist; pack_trees takes 268,946 ticks to say so
