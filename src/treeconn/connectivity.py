@@ -17,10 +17,11 @@ run only from a minimum-degree vertex v to its non-neighbours and between
 non-adjacent neighbours of v, (n - delta - 1) + delta(delta - 1)/2 at most.
 
 Count-only flows (`count_disjoint_paths`) first route one unit along each
-u-v path of length <= 2 and then along up to one disjoint path u-c-d-v per
-other neighbour c of u, up to `need`.  When these reach `need` they are the
-answer and no flow runs; otherwise BFS rounds go only to the longer paths
-and to rerouting.  Augmenting from any feasible flow ends at a maximum flow,
+u-v path of length <= 2, then along up to one disjoint path u-c-d-v per
+other neighbour c of u, then along greedy BFS shortest paths through the
+vertices left free, up to `need`.  When these reach `need` they are the
+answer and no flow runs; otherwise BFS rounds on the residual digraph go
+only to rerouting.  Augmenting from any feasible flow ends at a maximum flow,
 so the count, min(maximum, need), is the one an empty start gives; only the
 flow itself differs, and no caller reads it.  A count may skip a set of
 banned edges, which the seed routes and the flow's arcs both leave out, so
@@ -189,12 +190,12 @@ def count_disjoint_paths(
     lie on any number of the paths, each of their edges on one, so only
     their edges bound the count.
 
-    The flow starts from the disjoint short routes of `_seed_routes`; when
-    they reach `need` they are the answer and no flow runs, and otherwise
-    BFS augmentation finds the rest.  Augmenting from any feasible flow
-    reaches a maximum one, so the count is the one an empty start gives,
-    although the flow differs from the one `max_disjoint_paths`
-    decomposes."""
+    The flow starts from the disjoint routes of `_seed_routes`, short ones
+    first and then greedy shortest ones; when they reach `need` they are
+    the answer and no flow runs, and otherwise BFS augmentation reroutes
+    them to find the rest.  Augmenting from any feasible flow reaches a
+    maximum one, so the count is the one an empty start gives, although
+    the flow differs from the one `max_disjoint_paths` decomposes."""
     if u == v:
         raise ValueError("endpoints must differ")
     avoid = avoid - {u, v}
@@ -221,7 +222,10 @@ def _seed_routes(
     shared c unsplit); then, while fewer than `need`, one u-c-d-v route for
     each other neighbour c of u in g.adj[u] order, d the first neighbour of
     c in g.adj[c] order that is adjacent to v and on no route, c and d
-    unshared."""
+    unshared; then, while still fewer than `need`, greedy BFS shortest u-v
+    paths in ascending adjacency order, each through no shared vertex and
+    no vertex on a route, until v is out of reach.  A greedy route may
+    block a maximum system; the flow that starts from them reroutes it."""
     def free(a: int, b: int) -> bool:
         return not banned or ((a, b) if a < b else (b, a)) not in banned
 
@@ -246,10 +250,33 @@ def _seed_routes(
         for d in g.adj[c]:
             if d in ends and free(c, d):
                 ends.remove(d)
+                used.update((c, d))
                 routes.append((s, 2 * c, 2 * c + 1, 2 * d, 2 * d + 1, t))
                 break
         if len(routes) == need:
             break
+    # the longer routes: `used` holds u and every vertex on a route, and v
+    # ends a route, so none of them is expanded
+    blocked = used.union(avoid, shared, (v,))
+    while len(routes) != need:
+        parent = {c: u for c in g.adj[u] if c not in blocked and free(u, c)}
+        queue = list(parent)
+        for x in queue:
+            if x in near_v:
+                break
+            for y in g.adj[x]:
+                if y not in blocked and y not in parent and (not banned or free(x, y)):
+                    parent[y] = x
+                    queue.append(y)
+        else:
+            break  # v is out of reach
+        route = [t]
+        while x != u:
+            blocked.add(x)
+            route += (2 * x + 1, 2 * x)
+            x = parent[x]
+        route.append(s)
+        routes.append(tuple(reversed(route)))
     return routes
 
 

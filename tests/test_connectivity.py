@@ -506,6 +506,35 @@ def test_count_disjoint_paths_banned_edges_match_the_graph_without_them():
             assert got == want, (g.edges, banned, u, v, need, avoid, shared)
 
 
+def _unseeded_count(g, u, v, need, avoid, shared, banned) -> int:
+    """The value of a flow that starts empty, on the same split digraph."""
+    s = 2 * u + 1
+    fwd = connectivity._max_flow(
+        g, s, 2 * v, need, avoid - {u, v}, shared=shared - {u, v}, banned=banned
+    )
+    return len(fwd[s] or ())
+
+
+def test_count_disjoint_paths_matches_an_unseeded_flow():
+    # the seed routes against a flow that never sees them
+    rng = random.Random(28)
+    for _ in range(120):
+        n = rng.randint(4, 16)
+        p = rng.choice((0.2, 0.3, 0.45, 0.6))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for _ in range(3):
+            u, v = rng.sample(range(n), 2)
+            avoid = frozenset(w for w in range(n) if rng.random() < rng.choice((0, 0.15)))
+            shared = frozenset(
+                w for w in range(n) if w not in avoid and rng.random() < rng.choice((0, 0.2))
+            )
+            banned = frozenset(e for e in g.edges if rng.random() < rng.choice((0, 0.3)))
+            for need in (None, 1, 2, 3, 5):
+                want = _unseeded_count(g, u, v, need, avoid, shared, banned)
+                got = count_disjoint_paths(g, u, v, need, avoid, shared, banned)
+                assert got == want, (g.edges, u, v, need, avoid, shared, banned)
+
+
 def test_count_disjoint_paths_reroutes_a_seeded_path():
     # the length-3 seed for 0 and 5 is 0-1-2-5, which blocks 0-3-2: the
     # flow must send 0-3-2 on through the seed's reverse arc 2 -> 1 to 4
@@ -523,6 +552,42 @@ def test_count_disjoint_paths_returns_at_once_when_short_paths_reach_need(monkey
 
     monkeypatch.setattr(connectivity, "_max_flow", refuse)
     assert vertex_connectivity(complete_bipartite(4, 4)) == 4
+
+
+def test_vertex_connectivity_runs_no_flow_on_cycles_and_their_products(monkeypatch):
+    # the greedy seed routes reach every `need` that the maximum reaches
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(connectivity, "_max_flow", refuse)
+    assert vertex_connectivity(cycle(9)) == 2
+    assert vertex_connectivity(cartesian_product(cycle(6), cycle(6))) == 4
+    assert vertex_connectivity(cartesian_product(complete(4), cycle(8))) == 5
+    assert vertex_connectivity(cartesian_product(cycle(8), cycle(9))) == 4
+
+
+def test_count_disjoint_paths_reroutes_a_greedy_route(monkeypatch):
+    # every 0-5 path has length 4, so no route is seeded before the greedy
+    # pass; its first route, 0-1-2-6-5, blocks both 0-3-2-6-5 and
+    # 0-1-4-7-5, and the flow must reroute it to reach 2
+    g = Graph(8, [(0, 1), (1, 2), (2, 6), (6, 5), (0, 3), (3, 2), (1, 4), (4, 7), (7, 5)])
+    assert connectivity._seed_routes(g, 0, 5, None, frozenset(), frozenset(), frozenset()) == [
+        (1, 2, 3, 4, 5, 12, 13, 10)
+    ]
+    flows = 0
+    real = connectivity._max_flow
+
+    def counting(*args, **kwargs):
+        nonlocal flows
+        flows += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "_max_flow", counting)
+    for need in (None, 2, 3):
+        assert count_disjoint_paths(g, 0, 5, need) == _oracle_count(g, 0, 5) == 2
+    assert flows == 3
+    assert count_disjoint_paths(g, 0, 5, need=1) == 1
+    assert flows == 3
 
 
 def test_count_disjoint_paths_rejects_equal_endpoints():
