@@ -406,19 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built by the first `main` call, not at import, and reused by every later
-# one.  It holds the cmd_* functions as they were when it was built, so a
-# cmd_* rebound afterwards is not the one `main` runs.
-_parser: Optional[argparse.ArgumentParser] = None
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command and return its exit code.  The argument parser is
-    built once per process; each call parses into a fresh namespace."""
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, GraphFormatError, ValueError) as exc:

@@ -17,9 +17,8 @@ run only from a minimum-degree vertex v to its non-neighbours and between
 non-adjacent neighbours of v, (n - delta - 1) + delta(delta - 1)/2 at most.
 
 Count-only flows (`count_disjoint_paths`) first route one unit along each
-u-v path of length <= 2, then along up to one disjoint path u-c-d-v per
-other neighbour c of u, then along greedy BFS shortest paths through the
-vertices left free, up to `need`.  When these reach `need` they are the
+u-v path of length <= 2, then along greedy BFS shortest u-v paths through
+the vertices left free, up to `need`.  When these reach `need` they are the
 answer and no flow runs; otherwise BFS rounds on the residual digraph go
 only to rerouting.  Augmenting from any feasible flow ends at a maximum flow,
 so the count, min(maximum, need), is the one an empty start gives; only the
@@ -190,12 +189,13 @@ def count_disjoint_paths(
     lie on any number of the paths, each of their edges on one, so only
     their edges bound the count.
 
-    The flow starts from the disjoint routes of `_seed_routes`, short ones
-    first and then greedy shortest ones; when they reach `need` they are
-    the answer and no flow runs, and otherwise BFS augmentation reroutes
-    them to find the rest.  Augmenting from any feasible flow reaches a
-    maximum one, so the count is the one an empty start gives, although
-    the flow differs from the one `max_disjoint_paths` decomposes."""
+    The flow starts from the disjoint routes of `_seed_routes`, those of
+    length <= 2 first and then greedy shortest ones; when they reach
+    `need` they are the answer and no flow runs, and otherwise BFS
+    augmentation reroutes them to find the rest.  Augmenting from any
+    feasible flow reaches a maximum one, so the count is the one an empty
+    start gives, although the flow differs from the one
+    `max_disjoint_paths` decomposes."""
     if u == v:
         raise ValueError("endpoints must differ")
     avoid = avoid - {u, v}
@@ -219,12 +219,9 @@ def _seed_routes(
     """Internally disjoint u-v routes, as split nodes from out(u) to in(v),
     at most `need` of them, through no avoided vertex or banned edge: the
     edge uv; u-c-v through each common neighbour c, in g.adj[u] order (a
-    shared c unsplit); then, while fewer than `need`, one u-c-d-v route for
-    each other neighbour c of u in g.adj[u] order, d the first neighbour of
-    c in g.adj[c] order that is adjacent to v and on no route, c and d
-    unshared; then, while still fewer than `need`, greedy BFS shortest u-v
-    paths in ascending adjacency order, each through no shared vertex and
-    no vertex on a route, until v is out of reach.  A greedy route may
+    shared c unsplit); then, while fewer than `need`, greedy BFS shortest
+    u-v paths in ascending adjacency order, each through no shared vertex
+    and no vertex on a route, until v is out of reach.  A greedy route may
     block a maximum system; the flow that starts from them reroutes it."""
     def free(a: int, b: int) -> bool:
         return not banned or ((a, b) if a < b else (b, a)) not in banned
@@ -233,28 +230,12 @@ def _seed_routes(
     near_v = {w for w in g.adj[v] if w not in avoid and free(w, v)}
     routes: list[tuple[int, ...]] = [(s, t)] if u in near_v else []
     used = {u}
-    others = []  # the candidates c, in g.adj[u] order
     for c in g.adj[u]:
-        if c in avoid or not free(u, c):
-            continue
-        if c in near_v:
+        if c in near_v and free(u, c):
             routes.append((s, 2 * c, t) if c in shared else (s, 2 * c, 2 * c + 1, t))
             used.add(c)
-        elif c != v and c not in shared:
-            others.append(c)
     if need is not None and len(routes) >= need:
         return routes[:need]
-    # no c is in near_v, so no c can be a d: only the d's need tracking
-    ends = near_v.difference(used, shared)
-    for c in others:
-        for d in g.adj[c]:
-            if d in ends and free(c, d):
-                ends.remove(d)
-                used.update((c, d))
-                routes.append((s, 2 * c, 2 * c + 1, 2 * d, 2 * d + 1, t))
-                break
-        if len(routes) == need:
-            break
     # the longer routes: `used` holds u and every vertex on a route, and v
     # ends a route, so none of them is expanded
     blocked = used.union(avoid, shared, (v,))

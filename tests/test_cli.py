@@ -615,55 +615,6 @@ def test_bounds_factor_kappa3_once_under_the_budget(tmp_path, monkeypatch, capsy
     assert run(["bounds", *map(str, files), "--budget", "1"]) == cli.EXIT_BUDGET
 
 
-# -- parser reuse -----------------------------------------------------------
-
-
-def test_main_builds_its_parser_once(k33_file, monkeypatch, capsys):
-    calls = []
-    real = cli.build_parser
-
-    def counting():
-        calls.append(1)
-        return real()
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counting)
-    for mode in ("bounds", "formula", "exact"):
-        assert run(["kappa3", k33_file, "--mode", mode]) == 0
-    assert len(calls) == 1
-
-
-def test_main_keeps_no_option_from_the_call_before(k33_file, monkeypatch, capsys):
-    # a reused parser must give each call the defaults of the options it omits
-    assert run(["kappa3", k33_file, "--mode", "bounds"]) == 0
-    capsys.readouterr()
-    assert run(["kappa3", k33_file]) == 0
-    assert capsys.readouterr().out == "kappa3 = 2\nwitness S = [0, 1, 3]\n"
-
-    budgets = []
-    real = cli.Budget
-
-    def recording(limit):
-        budgets.append(limit)
-        return real(limit)
-
-    monkeypatch.setattr(cli, "Budget", recording)
-    assert run(["kappa3", k33_file, "--budget", "0"]) == cli.EXIT_BUDGET
-    assert run(["kappa3", k33_file]) == 0
-    assert budgets == [0, 10**8]
-
-
-def test_main_recovers_from_an_argparse_exit(k33_file, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["kappa3", k33_file, "--mode", "nonsense"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit):
-        run([])
-    capsys.readouterr()
-    assert run(["kappa3", k33_file, "--mode", "bounds"]) == 0
-    assert capsys.readouterr().out == "kappa = 3\n2 <= kappa3 <= 3\n"
-
-
 # -- family detection -------------------------------------------------------
 
 

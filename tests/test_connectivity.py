@@ -198,7 +198,7 @@ def test_max_disjoint_paths_shared():
     # ... also the edge of a seeded path 1-0-2, which 1-3-0-2 cannot reuse
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 3)])
     assert count_disjoint_paths(g, 1, 2, shared=frozenset({0})) == 1
-    # ... and no length-3 seed passes a shared vertex: every 0-5 path
+    # ... and no greedy seed passes a shared vertex: every 0-5 path
     # passes the shared 1, which has two edges on, 1-2 and 1-3; a seed
     # 0-1-2-5 that split 1 would give it a second node with arcs of its
     # own, and 1-3 would carry two paths
@@ -536,7 +536,7 @@ def test_count_disjoint_paths_matches_an_unseeded_flow():
 
 
 def test_count_disjoint_paths_reroutes_a_seeded_path():
-    # the length-3 seed for 0 and 5 is 0-1-2-5, which blocks 0-3-2: the
+    # the first seed route for 0 and 5 is 0-1-2-5, which blocks 0-3-2: the
     # flow must send 0-3-2 on through the seed's reverse arc 2 -> 1 to 4
     g = Graph(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 2), (1, 4), (4, 5)])
     assert len(max_disjoint_paths(g, 0, 5)) == 2
