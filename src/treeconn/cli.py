@@ -108,8 +108,6 @@ def load_certificate_document(doc: dict) -> tuple[Graph, Graph, Certificate]:
         provenance = str(doc["provenance"])
         product_n = _integer(doc["product_n"], "product_n")
         product_m = _integer(doc["product_m"], "product_m")
-    except InputError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed certificate document: {exc}") from None
     if len(s) != 3:
@@ -248,10 +246,7 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 def cmd_gen(args) -> int:
-    try:
-        g = graphs.generate(args.family, args.params)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    g = graphs.generate(args.family, args.params)
     _write_out(graphs.format_edge_list(g), args.out)
     return EXIT_OK
 

@@ -253,16 +253,14 @@ def pack_trees(
     edges = g.sorted_edges()
 
     def rec(
-        chosen: list[STree], banned_v: set[int], banned_e: set[Edge]
+        chosen: list[STree], banned_v: frozenset[int], banned_e: frozenset[Edge]
     ) -> Optional[list[STree]]:
         if len(chosen) == r:
             return chosen
         rem = r - len(chosen)
         if not _feasible(g, terms, rem, banned_v, banned_e):
             return None
-        for tree in _iter_trees(
-            g, list(terms), frozenset(banned_v), frozenset(banned_e), budget
-        ):
+        for tree in _iter_trees(g, list(terms), banned_v, banned_e, budget):
             # edge-disjoint trees differ in their least edge, and they come
             # in its ascending order: later trees avoid every edge up to it
             floor = bisect_right(edges, min(tree.edges))
@@ -275,7 +273,7 @@ def pack_trees(
                 return res
         return None
 
-    found = rec([], set(), set())
+    found = rec([], frozenset(), frozenset())
     return None if found is None else _checked_bundle(g, terms, found)
 
 
@@ -612,15 +610,15 @@ def kappa_k(
     search runs twice.  The least subset 0..k-1 is evaluated first.  The
     search stops once the minimum meets a floor no subset goes below: 1,
     and for k = 3 the Li-Li-Zhou bound `kappa3_range_from_kappa(kappa(G))`
-    (kappa(G) is computed at most once, when the minimum first falls to the
-    bound of delta(G) >= kappa(G)).  It is checked after the least subset,
-    where meeting it skips the automorphism search, and after each drop.  A
-    later subset is skipped when it still admits as many trees as the
-    current minimum: when the greedy packer places that many, or else when
-    `_decide` says so.  With `use_symmetry`, only the least k-subset of
-    each Aut(g)-orbit is evaluated; the result is the same, because the
-    least subset attaining the minimum is the least of its orbit and the
-    skip test answers exactly whether kappa(S) reaches the current minimum.
+    (kappa(G) is computed once, after the least subset, when that subset's
+    kappa is above 1).  It is checked after the least subset, where meeting
+    it skips the automorphism search, and after each drop.  A later subset
+    is skipped when it still admits as many trees as the current minimum:
+    when the greedy packer places that many, or else when `_decide` says
+    so.  With `use_symmetry`, only the least k-subset of each Aut(g)-orbit
+    is evaluated; the result is the same, because the least subset
+    attaining the minimum is the least of its orbit and the skip test
+    answers exactly whether kappa(S) reaches the current minimum.
     The floor leaves it unchanged too: a minimum is replaced only on a
     strict decrease, and none is possible below the floor.
     """
@@ -630,20 +628,10 @@ def kappa_k(
         budget = Budget()
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    floor = 1
-    cap = kappa3_range_from_kappa(g.min_degree())[0] if k == 3 else 0
-
-    def at_floor(value: int) -> bool:
-        # kappa(G) <= delta(G) and the bound is monotone, so kappa(G) can
-        # raise the floor above `value` only when value <= cap
-        nonlocal floor, cap
-        if floor < value <= cap:
-            floor, cap = kappa3_range_from_kappa(vertex_connectivity(g))[0], 0
-        return value <= floor
-
     best_s = tuple(range(k))
     best, bundle = _kappa_value(g, best_s, _room(g, best_s), budget)
-    if not at_floor(best):
+    floor = kappa3_range_from_kappa(vertex_connectivity(g))[0] if k == 3 and best > 1 else 1
+    if best > floor:
         subsets = (
             subset_orbit_reps(g, k, automorphism_generators(g, budget))
             if use_symmetry
@@ -654,7 +642,7 @@ def kappa_k(
             value, found = _kappa_value(g, sub, best, budget)
             if value < best:
                 best, best_s, bundle = value, sub, found
-                if at_floor(best):
+                if best <= floor:
                     break
     return best, best_s, bundle
 

@@ -56,6 +56,7 @@ def test_gen_tripartite_edge_count(capsys):
 
 def test_gen_bad_params(capsys):
     assert run(["gen", "cycle", "2"]) == cli.EXIT_INPUT
+    assert "error: cycle needs n >= 3" in capsys.readouterr().err
 
 
 def test_gen_out_file(tmp_path):

@@ -1,7 +1,9 @@
 """The narrative scripts in demos/ run to completion; they are the only
-callers of the scalar bound functions outside the tests."""
+callers of the scalar bound functions outside the tests.  So does each
+Python example of README.md."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +21,11 @@ def test_demo_runs(script):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_readme_python_examples_run():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

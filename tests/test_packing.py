@@ -210,10 +210,10 @@ def test_kappa_k_skips_automorphisms_at_the_floor(monkeypatch):
         assert kappa_k(g, 3, use_symmetry=True)[0] == value
     assert calls == [] and flows == [g for g, _ in cases]
     # K3,4: the least subset {0, 1, 2} has kappa 4, above the floor 2 of
-    # delta = 3, so kappa(G) is never computed and the orbits are searched
+    # kappa = 3, so kappa(G) is computed once and the orbits are searched
     assert kappa_k(complete_bipartite(3, 4), 3, use_symmetry=True)[0] == 3
     assert calls == [complete_bipartite(3, 4)]
-    assert flows == [g for g, _ in cases]
+    assert flows == [g for g, _ in cases] + [complete_bipartite(3, 4)]
 
 
 def _least_min_subset(g):
@@ -858,17 +858,23 @@ def test_kappa_k_triples_pinned():
     # (value, witness) and (value, witness, bundle) of the orbit-pruned
     # kappa_k.  The first digest was recorded while pack_trees packed the
     # witness again at the end; the second since the bundle is the one of
-    # the search that set the value (the greedy packer's or _decide's)
-    values, bundles = hashlib.sha256(), hashlib.sha256()
+    # the search that set the value (the greedy packer's or _decide's).
+    # The third adds each call's budget ticks, so it pins the work as well
+    values, bundles, ticks = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for g in _pinned_kappa_k_graphs():
-        value, witness, bundle = kappa_k(g, 3, use_symmetry=True)
+        budget = Budget()
+        value, witness, bundle = kappa_k(g, 3, budget, use_symmetry=True)
         assert bundle.s == witness and len(bundle) == value
         assert verify_bundle(g.has_edge, bundle) is None
         values.update(repr((g.n, value, witness)).encode())
         bundles.update(repr((g.n, value, witness, _trees(bundle))).encode())
+        ticks.update(repr((g.n, value, witness, budget.used)).encode())
     assert values.hexdigest() == (
         "9d82cb81a879134ab39c3bf44115e23b2295c2af5eef6a564819c6f980e51bf5"
     )
     assert bundles.hexdigest() == (
         "2a0ecbd22a4230751d9c72a02d9a12cd0d37594895158dc98b147a76a02f8542"
+    )
+    assert ticks.hexdigest() == (
+        "b11141f1d82055029bcaa624253c2364b454f8bf220c04bc27d5c494dbc41c21"
     )
