@@ -458,12 +458,13 @@ def automorphism_generators(
 
     Sims's stabilizer chain, from the last base point down: for base point
     i, every c > i outside i's orbit under the generators found so far
-    (all of which fix 0..i-1) gets one backtracking search for an
-    automorphism that fixes 0..i-1 and maps i to c.  The first one found
-    joins the generators, and the orbit is closed again.  Afterwards the
-    generators with base point >= i generate the stabilizer of 0..i-1.
-    Distances are computed once, each vertex's distance to every prefix
-    0..i as running minima along its row.  One budget tick per search node.
+    (all of which fix 0..i-1) gets one search, a twin test or else a
+    backtracking search, for an automorphism that fixes 0..i-1 and maps i
+    to c.  The first one found joins the generators, and the orbit is
+    closed again.  Afterwards the generators with base point >= i generate
+    the stabilizer of 0..i-1.  Distances are computed once, each vertex's
+    distance to every prefix 0..i as running minima along its row.  One
+    budget tick per search node.
     """
     if budget is None:
         budget = Budget()
@@ -516,28 +517,39 @@ def _stabilizer_search(
     """search(c): the first automorphism found that fixes 0..i-1 and maps
     i to c, or None.
 
-    The root places i on c.  The other vertices are placed in BFS order
-    from {0..i} (by distance from that set, `near[x][i]`, then by label),
-    so a vertex with a placed neighbour y may only map into the neighbours
-    of y's image.  An automorphism keeps degrees and distances, so an image
-    must lie in the vertex's cell (the same degree and distances to
-    0..i-1), match its distance to i as a distance to c, and have as
-    placed neighbours (`nbrs` over the set `used`) exactly the images of
-    the vertex's placed neighbours.
+    Twins i and c (equal neighbourhoods apart from each other) get (i c),
+    which fixes 0..i-1 as c > i.  Any other c must first match i's degree,
+    distances to and neighbours among 0..i-1; only then does the level
+    build, once, what the backtracking below needs.
+
+    The backtracking places i on c.  The other vertices are placed in BFS
+    order from {0..i} (by distance from that set, `near[x][i]`, then by
+    label), so a vertex with a placed neighbour y may only map into the
+    neighbours of y's image.  An automorphism keeps degrees and distances,
+    so an image must lie in the vertex's cell (the same degree and
+    distances to 0..i-1), match its distance to i as a distance to c, and
+    have as placed neighbours (`nbrs` over the set `used`) exactly the
+    images of the vertex's placed neighbours.
     """
     n, adj = g.n, g.adj
-    order = sorted(range(n), key=lambda x: (near[x][i], x))
-    rank = {v: r for r, v in enumerate(order)}
-    earlier = [[y for y in adj[x] if rank[y] < rank[x]] for x in range(n)]
-    cells: dict[tuple[int, ...], int] = {}
-    cell = [cells.setdefault((len(nbrs[v]), *dist[v][:i]), len(cells)) for v in range(n)]
     fixed = frozenset(range(i))
-    root = nbrs[i] & fixed
+    root = (len(nbrs[i]), dist[i][:i], nbrs[i] & fixed)
+    tables: list[tuple[list[int], list[list[int]], list[int]]] = []
 
     def search(c: int) -> Optional[tuple[int, ...]]:
         budget.tick()
-        if cell[c] != cell[i] or nbrs[c] & fixed != root:
+        if nbrs[i] - {c} == nbrs[c] - {i}:
+            return (*range(i), c, *range(i + 1, c), i, *range(c + 1, n))
+        if (len(nbrs[c]), dist[c][:i], nbrs[c] & fixed) != root:
             return None
+        if not tables:
+            order = sorted(range(n), key=lambda x: (near[x][i], x))
+            rank = {v: r for r, v in enumerate(order)}
+            earlier = [[y for y in adj[x] if rank[y] < rank[x]] for x in range(n)]
+            cells: dict[tuple[int, ...], int] = {}
+            cell = [cells.setdefault((len(nbrs[v]), *dist[v][:i]), len(cells)) for v in range(n)]
+            tables.append((order, earlier, cell))
+        order, earlier, cell = tables[0]
         perm = [*range(i), c] + [-1] * (n - i - 1)
         used = {*fixed, c}
         to_c, to_i = dist[c], dist[i]

@@ -282,8 +282,9 @@ def test_pack_trees_counting_bound_decides_at_root():
     # 1,375 before the counting bound; 135 while pack_trees, not the
     # greedy packer, went first at the counting bound's r = 5; 178 while
     # pack_trees packed the witness again at the end; 76 while the greedy
-    # packer tried every vertex as a tree's centre
-    assert budget.used == 66
+    # packer tried every vertex as a tree's centre; 66 while twins were
+    # found by backtracking, not by the twin test at the root
+    assert budget.used == 39
 
 
 def test_kappa_k_of_k4_box_k4_pinned():
@@ -316,7 +317,8 @@ def test_pack_trees_pairwise_flow_prune_pinned():
     assert budget.used == 58
 
 
-@pytest.mark.parametrize("use_symmetry, ticks", [(False, 163), (True, 201)])
+# 201 with symmetry while twins were found by backtracking
+@pytest.mark.parametrize("use_symmetry, ticks", [(False, 163), (True, 126)])
 def test_kappa_k_pairwise_flow_prune_on_a_bridge(use_symmetry, ticks):
     # two copies of K7 joined by the edge 0-7: every 3-set across the bridge
     # admits one tree, which only the pairwise flow check of `_feasible`
@@ -603,8 +605,13 @@ def _group(n, gens):
 
 
 def test_automorphism_counts():
+    # K2,2,3's swap of its 2-parts moves four vertices, so only the
+    # backtracking finds it; K3 joined to two independent vertices has true
+    # twins 0, 1, 2 and false twins 3, 4
     for g, order in ((complete(4), 24), (cycle(5), 10), (path(4), 2),
-                     (complete_bipartite(2, 3), 12)):
+                     (complete_bipartite(2, 3), 12),
+                     (complete_tripartite(2, 2, 3), 48),
+                     (join_complete_empty2(3), 12)):
         assert len(_group(g.n, automorphism_generators(g))) == order
 
 
@@ -702,7 +709,7 @@ def test_automorphism_generators_pinned():
         "047f1f1ba77305e9485f4c09a4ed1192d3391072e12c13546eefd4363ddce306"
     )
     assert ticks == [
-        25, 25, 33, 33, 42, 41, 60, 60, 29, 24, 45, 40, 40, 40, 51, 61, 51, 59,
+        5, 5, 6, 6, 17, 17, 27, 27, 20, 20, 26, 25, 18, 18, 30, 32, 51, 59,
         70, 70, 3767, 3602,
     ]
 
@@ -741,6 +748,48 @@ def test_orbit_reps_match_reference_on_larger_graphs():
                 assert subset_orbit_reps(lab, k, gens) == _reference_orbit_reps(
                     lab, k, gens
                 )
+
+
+def test_twins_get_their_transposition_at_the_root():
+    # every pair in K9 is a pair of twins: each level answers its first c
+    # with (i i+1) at the root, one tick each, and builds no search
+    budget = Budget()
+    gens = automorphism_generators(complete(9), budget)
+    assert gens == [
+        tuple(i + 1 if x == i else i if x == i + 1 else x for x in range(9))
+        for i in range(7, -1, -1)
+    ]
+    assert budget.used == 8
+    # the budget still bounds the orbit step when every answer is a twin
+    with pytest.raises(BudgetExhausted):
+        automorphism_generators(complete(9), Budget(7))
+
+
+def _with_planted_twins(rng):
+    """A seeded graph on at most 7 vertices: a random graph, then a false
+    twin of one of its vertices (same neighbours, not adjacent) and a true
+    twin of another (same neighbours, adjacent), relabelled."""
+    m = rng.randint(2, 5)
+    edges = [e for e in combinations(range(m), 2) if rng.random() < 0.5]
+    a, b = rng.sample(range(m), 2)
+    edges += [(x, m) for x in range(m) if (min(a, x), max(a, x)) in edges]
+    edges += [(x, m + 1) for x in range(m + 1) if (min(b, x), max(b, x)) in edges]
+    edges.append((b, m + 1))
+    return _relabelled(Graph(m + 2, edges), rng)
+
+
+def test_orbit_step_matches_brute_force_on_graphs_with_twins():
+    rng = random.Random(30)
+    for _ in range(40):
+        g = _with_planted_twins(rng)
+        autos = {
+            p for p in permutations(range(g.n))
+            if all(g.has_edge(p[a], p[b]) for a, b in g.edges)
+        }
+        gens = automorphism_generators(g)
+        assert _group(g.n, gens) == autos
+        for k in (2, 3, 4):
+            assert subset_orbit_reps(g, k, gens) == _reference_orbit_reps(g, k, gens)
 
 
 # -- closed-form oracles ----------------------------------------------------
@@ -867,6 +916,8 @@ def test_kappa_k_triples_pinned():
     # witness again at the end; the second since the bundle is the one of
     # the search that set the value (the greedy packer's or _decide's).
     # The third adds each call's budget ticks, so it pins the work as well
+    # (re-recorded from b11141f1... when twins got their transposition at
+    # the root of the orbit step)
     values, bundles, ticks = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for g in _pinned_kappa_k_graphs():
         budget = Budget()
@@ -883,5 +934,5 @@ def test_kappa_k_triples_pinned():
         "2a0ecbd22a4230751d9c72a02d9a12cd0d37594895158dc98b147a76a02f8542"
     )
     assert ticks.hexdigest() == (
-        "b11141f1d82055029bcaa624253c2364b454f8bf220c04bc27d5c494dbc41c21"
+        "9bede24e1cb7dd1a1308d7e7ccec2503a90088a6debc243fc1835f6fdf6f1d53"
     )
