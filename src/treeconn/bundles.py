@@ -132,7 +132,8 @@ def find_reduced_bundle(
     u2: int,
     u3: int,
     t: Optional[int] = None,
-    budget: Optional[Budget] = None,
+    *,
+    budget: Budget,
 ) -> Optional[ReducedPathBundle]:
     """Search for a (k, t)-reduced-path-bundle, smallest t first.
 
@@ -142,8 +143,6 @@ def find_reduced_bundle(
     """
     if len({u1, u2, u3}) != 3:
         raise ValueError("anchor vertices must be distinct")
-    if budget is None:
-        budget = Budget()
     t_values = range(0, k // 2 + 1) if t is None else [t]
     for tv in t_values:
         rb = _search_bundle(g, k, u1, u2, u3, tv, budget)

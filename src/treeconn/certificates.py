@@ -4,8 +4,8 @@ of Cartesian products.
 Given factors G, H and a 3-set S in the product, the generators build an
 explicit family of internally disjoint S-trees realizing the applicable
 lower bound.  As in the paper, G and H must be connected with at least two
-vertices each: `classify_position`, run first by every construction,
-raises ValueError otherwise.  A k-connected factor then joins any two
+vertices each: `classify_position`, run once by each entry point, raises
+ValueError otherwise.  A k-connected factor then joins any two
 vertices by k internally disjoint paths (Menger; a direct edge counts),
 and any vertex to any k others by a k-fan (the fan lemma), so those path
 systems are used as the flow returns them, unchecked.  Only what a real
@@ -25,7 +25,7 @@ and as the 3x3 grid G[us] box H[vs] that Lemma 3.1 case 2 packs in.
 `Certificate.verify` reads product adjacency from the factors.  Each
 construction computes the factors' invariants once (Lemma 3.4's kappa_3(G)
 by orbit pruning), and every search it runs ticks the caller's `Budget`
-(with None, a default `Budget()`).  Each tree shape is built in one place:
+(with None, one `Budget()` per call).  Each tree shape is built in one place:
 `_star` builds the piece under every construction, one factor copied into a
 fiber and joined to S by rungs along the other factor; `_rung_tree` builds
 Lemma 3.1's path-fiber-rung-fan tree in cases 1 and 2; one local helper
@@ -78,11 +78,6 @@ def classify_position(g: Graph, h: Graph, s: Sequence[int]) -> SPosition:
     excludes (the constructions' one precondition)."""
     if any(f.n < 2 or not f.is_connected() for f in (g, h)):
         raise ValueError("factors must be connected with at least two vertices")
-    return _position(g, h, s)
-
-
-def _position(g: Graph, h: Graph, s: Sequence[int]) -> SPosition:
-    """Where S sits in G box H, the factors unchecked."""
     sset = sorted(set(s))
     if len(sset) != 3:
         raise ValueError("S must contain three distinct vertices")
@@ -227,7 +222,7 @@ def _materialize(edges: set[Edge], terminals: set[int]) -> STree:
 
 
 def _fallback(
-    g: Graph, h: Graph, s: Sequence[int], claimed: int, budget: Optional[Budget]
+    g: Graph, h: Graph, s: Sequence[int], claimed: int, budget: Budget
 ) -> Certificate:
     """Exact search on the product, working downward from the claimed bound
     (at least 1: kappa(G) + kappa(H) - 1 or the Lemma 4.1 bound)."""
@@ -256,13 +251,10 @@ def _finish(
 # -- all-distinct position (k + l - 1 trees) -------------------------------
 
 
-def construct_lemma31(
-    g: Graph, h: Graph, s: Sequence[int], budget: Optional[Budget] = None
+def _lemma31(
+    g: Graph, h: Graph, s: Sequence[int], pos: SPosition, budget: Budget
 ) -> Certificate:
     """Certificate for S with three distinct coordinates in both factors."""
-    pos = classify_position(g, h, s)
-    if pos.label != "all-distinct":
-        raise ValueError("S must have all-distinct coordinates in both factors")
     pairs = pos.pairs
     kg, kh = vertex_connectivity(g), vertex_connectivity(h)
     claimed = kg + kh - 1
@@ -334,7 +326,7 @@ def _lemma31_case1(
 
 def _lemma31_case2(
     g: Graph, h: Graph, pairs: Sequence[tuple[int, int]], k: int, l: int,
-    budget: Optional[Budget],
+    budget: Budget,
 ) -> list[set[Edge]]:
     """Both coordinate triples induce triangles: pack 3 trees inside the
     9-vertex induced subgraph, then thread the remaining k-2 and l-2 trees
@@ -374,13 +366,10 @@ def _lemma31_case2(
 # -- corner-share position -------------------------------------------------
 
 
-def construct_lemma32(
-    g: Graph, h: Graph, s: Sequence[int], budget: Optional[Budget] = None
+def _lemma32(
+    g: Graph, h: Graph, s: Sequence[int], pos: SPosition, budget: Budget
 ) -> Certificate:
     """Certificate for S = {(u1,v1), (u1,v2), (u2,v1)}."""
-    pos = classify_position(g, h, s)
-    if pos.label != "corner-share":
-        raise ValueError("S must share one coordinate pairwise (corner shape)")
     pairs = pos.pairs
     us = [u for u, _ in pairs]
     vs = [v for _, v in pairs]
@@ -426,13 +415,10 @@ def _lemma32_build(g, h, u1, u2, v1, v2, m, k, l) -> list[set[Edge]]:
 # -- two-share-one-apart position ------------------------------------------
 
 
-def construct_lemma33(
-    g: Graph, h: Graph, s: Sequence[int], budget: Optional[Budget] = None
+def _lemma33(
+    g: Graph, h: Graph, s: Sequence[int], pos: SPosition, budget: Budget
 ) -> Certificate:
     """Certificate for S = {(u1,v1), (u2,v1), (u3,v2)} (either orientation)."""
-    pos = classify_position(g, h, s)
-    if pos.label != "two-share-one-apart":
-        raise ValueError("S must have exactly one shared coordinate")
     kg, kh = vertex_connectivity(g), vertex_connectivity(h)
     claimed = kg + kh - 1
     cg, ch, k, l, cpairs, hpath, gpath = _orientations(g, h, kg, kh, pos.pairs)[pos.swap]
@@ -468,13 +454,10 @@ def _lemma33_build(cg, ch, k, l, u1, u2, u3, v1, v2, hpath, gpath, m) -> list[se
 # -- same-G-fiber position -------------------------------------------------
 
 
-def construct_lemma34(
-    g: Graph, h: Graph, s: Sequence[int], budget: Optional[Budget] = None
+def _lemma34(
+    g: Graph, h: Graph, s: Sequence[int], pos: SPosition, budget: Budget
 ) -> Certificate:
     """Certificate for S inside one layer (all H-coordinates equal)."""
-    pos = classify_position(g, h, s)
-    if pos.label != "same-g-fiber":
-        raise ValueError("S must lie in a single layer of the product")
     pairs = pos.pairs
     v1 = pairs[0][1]
     us = [u for u, _ in pairs]
@@ -513,12 +496,19 @@ def construct_lemma41(
     """Certificate for S inside one fiber (all G-coordinates equal).
 
     By default the bundle with the smallest t is used; passing t forces
-    that bundle shape (any witnessed shape yields a valid certificate)."""
+    that bundle shape (any witnessed shape yields a valid certificate).
+    Every search ticks `budget`, by default one `Budget()` for the call."""
     pos = classify_position(g, h, s)
     if pos.label != "same-h-fiber":
         raise ValueError("S must lie in a single fiber of the product")
-    if budget is None:  # one budget for every bundle, segment and fallback search
-        budget = Budget()
+    return _lemma41(g, h, s, pos, Budget() if budget is None else budget, t)
+
+
+def _lemma41(
+    g: Graph, h: Graph, s: Sequence[int], pos: SPosition, budget: Budget,
+    t: Optional[int] = None,
+) -> Certificate:
+    """`construct_lemma41` once S is known to lie in one fiber."""
     pairs = pos.pairs
     u1 = pairs[0][0]
     vset = sorted(v for _, v in pairs)
@@ -699,17 +689,21 @@ def lower_bound_theorem15(kg: int, k3g: int, l: int) -> Optional[int]:
 # -- dispatcher ------------------------------------------------------------
 
 _CONSTRUCTORS = {
-    "all-distinct": construct_lemma31,
-    "corner-share": construct_lemma32,
-    "two-share-one-apart": construct_lemma33,
-    "same-g-fiber": construct_lemma34,
-    "same-h-fiber": construct_lemma41,
+    "all-distinct": _lemma31,
+    "corner-share": _lemma32,
+    "two-share-one-apart": _lemma33,
+    "same-g-fiber": _lemma34,
+    "same-h-fiber": _lemma41,
 }
 
 
 def certify(
     g: Graph, h: Graph, s: Sequence[int], budget: Optional[Budget] = None
 ) -> Certificate:
-    """Classify the position of S and run the matching construction, which
-    refuses the factors the paper excludes."""
-    return _CONSTRUCTORS[_position(g, h, s).label](g, h, s, budget)
+    """Classify the position of S, refusing the factors the paper excludes,
+    and run the matching construction.  Every search it runs ticks
+    `budget`; with None, one default `Budget()` serves the whole call."""
+    pos = classify_position(g, h, s)
+    if budget is None:
+        budget = Budget()
+    return _CONSTRUCTORS[pos.label](g, h, s, pos, budget)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice
+from itertools import combinations, islice
 from typing import AbstractSet, Callable, Iterator, Optional, Sequence
 
 from .connectivity import (
@@ -122,7 +122,7 @@ def iter_minimal_s_trees(
     s: Sequence[int],
     banned_v: frozenset[int] = frozenset(),
     banned_e: frozenset[Edge] = frozenset(),
-    budget: Optional[Budget] = None,
+    *, budget: Budget,
 ) -> Iterator[STree]:
     """All minimal S-trees (no non-terminal leaves) avoiding the given
     internal vertices and edges.
@@ -131,8 +131,6 @@ def iter_minimal_s_trees(
     attachment path from the last terminal.  The decomposition is unique,
     so no tree is produced twice.
     """
-    if budget is None:
-        budget = Budget()
     terms = sorted(set(s))
     if len(terms) < 2:
         raise ValueError("need at least two terminals")
@@ -239,11 +237,9 @@ def pack_trees(
     g: Graph,
     s: Sequence[int],
     r: int,
-    budget: Optional[Budget] = None,
+    budget: Budget,
 ) -> Optional[STreeBundle]:
     """r pairwise internally disjoint S-trees, or None after exhaustion."""
-    if budget is None:
-        budget = Budget()
     terms = tuple(sorted(set(s)))
     if r < 1:
         raise ValueError("r must be positive")
@@ -423,7 +419,7 @@ def _kappa_value(
 def max_internally_disjoint_trees(
     g: Graph,
     s: Sequence[int],
-    budget: Optional[Budget] = None,
+    budget: Budget,
     upper: Optional[int] = None,
 ) -> tuple[int, STreeBundle]:
     """Exact kappa(S) with a witness bundle: the value comes from
@@ -431,8 +427,6 @@ def max_internally_disjoint_trees(
     bundle, not `_kappa_value`'s, is returned, because Lemma 3.4 and the
     exact fallback copy this bundle into certificate bytes, which stay the
     exhaustive search's first packing."""
-    if budget is None:
-        budget = Budget()
     terms = tuple(sorted(set(s)))
     if len(terms) < 2:
         raise ValueError("need at least two terminals")
@@ -451,9 +445,7 @@ def max_internally_disjoint_trees(
 # -- automorphisms and orbit pruning ---------------------------------------
 
 
-def automorphism_generators(
-    g: Graph, budget: Optional[Budget] = None
-) -> list[tuple[int, ...]]:
+def automorphism_generators(g: Graph, budget: Budget) -> list[tuple[int, ...]]:
     """A strong generating set of Aut(g) for the base 0, 1, ..., n-1.
 
     Sims's stabilizer chain, from the last base point down: for base point
@@ -462,19 +454,15 @@ def automorphism_generators(
     backtracking search, for an automorphism that fixes 0..i-1 and maps i
     to c.  The first one found joins the generators, and the orbit is
     closed again.  Afterwards the generators with base point >= i generate
-    the stabilizer of 0..i-1.  Distances are computed once, each vertex's
-    distance to every prefix 0..i as running minima along its row.  One
-    budget tick per search node.
+    the stabilizer of 0..i-1.  Distances are computed once, as one BFS
+    from every vertex.  One budget tick per search node.
     """
-    if budget is None:
-        budget = Budget()
     n = g.n
     dist = [_distances(g, v) for v in range(n)]
-    near = [list(accumulate(row, min)) for row in dist]
     nbrs = [frozenset(ys) for ys in g.adj]
     gens: list[tuple[int, ...]] = []
     for i in range(n - 2, -1, -1):
-        search = _stabilizer_search(g, dist, near, nbrs, i, budget)
+        search = _stabilizer_search(g, dist, nbrs, i, budget)
         orbit = {i}
         for c in range(i + 1, n):
             if c not in orbit and (perm := search(c)) is not None:
@@ -511,8 +499,7 @@ def _distances(g: Graph, v: int) -> list[int]:
 
 
 def _stabilizer_search(
-    g: Graph, dist: list[list[int]], near: list[list[int]],
-    nbrs: list[frozenset[int]], i: int, budget: Budget,
+    g: Graph, dist: list[list[int]], nbrs: list[frozenset[int]], i: int, budget: Budget,
 ) -> Callable[[int], Optional[tuple[int, ...]]]:
     """search(c): the first automorphism found that fixes 0..i-1 and maps
     i to c, or None.
@@ -523,10 +510,10 @@ def _stabilizer_search(
     build, once, what the backtracking below needs.
 
     The backtracking places i on c.  The other vertices are placed in BFS
-    order from {0..i} (by distance from that set, `near[x][i]`, then by
-    label), so a vertex with a placed neighbour y may only map into the
-    neighbours of y's image.  An automorphism keeps degrees and distances,
-    so an image must lie in the vertex's cell (the same degree and
+    order from {0..i} (by distance from that set, `min(dist[x][: i + 1])`,
+    then by label), so a vertex with a placed neighbour y may only map into
+    the neighbours of y's image.  An automorphism keeps degrees and
+    distances, so an image must lie in the vertex's cell (the same degree and
     distances to 0..i-1), match its distance to i as a distance to c, and
     have as placed neighbours (`nbrs` over the set `used`) exactly the
     images of the vertex's placed neighbours.
@@ -543,7 +530,7 @@ def _stabilizer_search(
         if (len(nbrs[c]), dist[c][:i], nbrs[c] & fixed) != root:
             return None
         if not tables:
-            order = sorted(range(n), key=lambda x: (near[x][i], x))
+            order = sorted(range(n), key=lambda x: (min(dist[x][: i + 1]), x))
             rank = {v: r for r, v in enumerate(order)}
             earlier = [[y for y in adj[x] if rank[y] < rank[x]] for x in range(n)]
             cells: dict[tuple[int, ...], int] = {}

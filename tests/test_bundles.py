@@ -114,7 +114,7 @@ def test_verify_reduced_alignment():
 def test_find_reduced_bundle_smallest_t_first():
     # only 3 paths 0-1 avoid vertex 2 in K5, so t=0 fails and t=1 is minimal
     g = complete(5)
-    rb = find_reduced_bundle(g, 4, 0, 1, 2)
+    rb = find_reduced_bundle(g, 4, 0, 1, 2, budget=Budget())
     assert rb is not None
     assert rb.base.t == 1
     assert rb.base.s == 4
@@ -124,7 +124,7 @@ def test_find_reduced_bundle_smallest_t_first():
 def test_find_reduced_bundle_forced_t():
     g = complete(6)
     for t in (0, 1, 2):
-        rb = find_reduced_bundle(g, 4, 0, 1, 2, t=t)
+        rb = find_reduced_bundle(g, 4, 0, 1, 2, t=t, budget=Budget())
         assert rb is not None and rb.base.t == t
         assert len(rb.connectors) == 4 - 2 * t
         assert verify_reduced_bundle(g, rb) is None
@@ -133,20 +133,20 @@ def test_find_reduced_bundle_forced_t():
 def test_find_reduced_bundle_cycle():
     # C6: exactly 2 disjoint u1-u2 paths, u3 on one of them -> (2,1)-bundle
     g = cycle(6)
-    rb = find_reduced_bundle(g, 2, 0, 3, 1)
+    rb = find_reduced_bundle(g, 2, 0, 3, 1, budget=Budget())
     assert rb is not None
     assert rb.base.t == 1 and len(rb.connectors) == 0
 
 
 def test_find_reduced_bundle_infeasible():
     g = path(4)
-    assert find_reduced_bundle(g, 2, 0, 3, 1) is None
+    assert find_reduced_bundle(g, 2, 0, 3, 1, budget=Budget()) is None
 
 
 def test_find_reduced_bundle_deterministic():
     g = complete_bipartite(3, 4)
-    a = find_reduced_bundle(g, 3, 3, 4, 5)
-    b = find_reduced_bundle(g, 3, 3, 4, 5)
+    a = find_reduced_bundle(g, 3, 3, 4, 5, budget=Budget())
+    b = find_reduced_bundle(g, 3, 3, 4, 5, budget=Budget())
     assert a == b
 
 
@@ -254,7 +254,7 @@ def test_cycle_finder_validates_input():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: find_reduced_bundle(complete(6), 4, 0, 0, 1), "anchor vertices must be distinct"),
+        (lambda: find_reduced_bundle(complete(6), 4, 0, 0, 1, budget=Budget()), "anchor vertices must be distinct"),
         # (0, 1) joins two vertices of one side of K3,3
         (
             lambda: find_cycle_through_edges(complete_bipartite(3, 3), (0, 1), (2, 3), (4, 5)),

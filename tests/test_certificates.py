@@ -21,10 +21,6 @@ from treeconn.certificates import (
     Certificate,
     certify,
     classify_position,
-    construct_lemma31,
-    construct_lemma32,
-    construct_lemma33,
-    construct_lemma34,
     construct_lemma41,
     factor_kappa3,
     lower_bound_theorem14,
@@ -87,11 +83,7 @@ def test_classify_rejects_bad_s():
         classify_position(g, Graph(1, []), (0, 1, 2))
 
 
-@pytest.mark.parametrize(
-    "make",
-    [certify, construct_lemma31, construct_lemma32, construct_lemma33,
-     construct_lemma34, construct_lemma41],
-)
+@pytest.mark.parametrize("make", [certify, construct_lemma41])
 def test_constructions_refuse_a_disconnected_factor(make):
     with pytest.raises(ValueError, match="connected with at least two"):
         make(Graph(2, []), path(2), (0, 1, 2))
@@ -102,7 +94,7 @@ def test_constructions_refuse_a_disconnected_factor(make):
 
 def test_all_distinct_triangle_case():
     g = h = complete(3)
-    cert = construct_lemma31(g, h, _s(g, h, [(0, 0), (1, 1), (2, 2)]))
+    cert = certify(g, h, _s(g, h, [(0, 0), (1, 1), (2, 2)]))
     _check(cert)
     assert cert.provenance == "3.1/2"
     assert cert.claimed_bound == 2 + 2 - 1
@@ -110,11 +102,11 @@ def test_all_distinct_triangle_case():
 
 def test_all_distinct_fan_cases():
     g, h = complete(4), cycle(4)
-    cert = construct_lemma31(g, h, _s(g, h, [(0, 0), (1, 1), (2, 2)]))
+    cert = certify(g, h, _s(g, h, [(0, 0), (1, 1), (2, 2)]))
     _check(cert)
     assert cert.provenance.startswith("3.1/1")
     g = h = cycle(5)
-    cert = construct_lemma31(g, h, _s(g, h, [(0, 0), (2, 2), (4, 3)]))
+    cert = certify(g, h, _s(g, h, [(0, 0), (2, 2), (4, 3)]))
     _check(cert)
     assert cert.provenance == "3.1/1.1"
     assert cert.claimed_bound == 3
@@ -122,7 +114,7 @@ def test_all_distinct_fan_cases():
 
 def test_corner_share():
     g, h = complete(3), cycle(4)
-    cert = construct_lemma32(g, h, _s(g, h, [(0, 0), (0, 1), (1, 0)]))
+    cert = certify(g, h, _s(g, h, [(0, 0), (0, 1), (1, 0)]))
     _check(cert)
     assert cert.provenance == "3.2"
     assert cert.claimed_bound == 2 + 2 - 1
@@ -131,25 +123,25 @@ def test_corner_share():
 def test_corner_share_degenerate_paths():
     # both factors kappa 1: bound is 1, a single tree
     g = h = path(2)
-    cert = construct_lemma32(g, h, _s(g, h, [(0, 0), (0, 1), (1, 0)]))
+    cert = certify(g, h, _s(g, h, [(0, 0), (0, 1), (1, 0)]))
     _check(cert)
     assert cert.claimed_bound == 1
 
 
 def test_two_share_one_apart_both_orientations():
     g, h = complete(4), cycle(4)
-    cert = construct_lemma33(g, h, _s(g, h, [(0, 0), (1, 0), (2, 1)]))
+    cert = certify(g, h, _s(g, h, [(0, 0), (1, 0), (2, 1)]))
     _check(cert)
     assert cert.provenance == "3.3"
     # swapped orientation: two share the G-coordinate
-    cert = construct_lemma33(g, h, _s(g, h, [(0, 0), (0, 1), (1, 2)]))
+    cert = certify(g, h, _s(g, h, [(0, 0), (0, 1), (1, 2)]))
     _check(cert)
     assert cert.provenance == "3.3"
 
 
 def test_same_g_fiber():
     g, h = complete(4), complete(3)
-    cert = construct_lemma34(g, h, _s(g, h, [(0, 0), (1, 0), (2, 0)]))
+    cert = certify(g, h, _s(g, h, [(0, 0), (1, 0), (2, 0)]))
     _check(cert)
     assert cert.provenance == "3.4"
     assert cert.claimed_bound == factor_kappa3(g) + h.min_degree()
@@ -214,19 +206,21 @@ def test_certify_refuses_what_classify_position_refuses():
 
 
 @pytest.mark.parametrize(
-    "pairs,make",
+    "pairs, total",
     [
-        ([(0, 0), (1, 1), (2, 2)], construct_lemma31),
-        ([(0, 0), (0, 1), (1, 0)], construct_lemma32),
-        ([(0, 0), (1, 0), (2, 1)], construct_lemma33),
-        ([(0, 0), (1, 0), (2, 0)], construct_lemma34),
-        ([(0, 0), (0, 1), (0, 2)], construct_lemma41),
+        ([(0, 0), (1, 1), (2, 2)], 4),
+        ([(0, 0), (0, 1), (1, 0)], 4),
+        ([(0, 0), (1, 0), (2, 1)], 4),
+        ([(0, 0), (1, 0), (2, 0)], 4),
+        ([(0, 0), (0, 1), (0, 2)], 3),
     ],
+    ids=["3.1", "3.2", "3.3", "3.4", "4.1"],
 )
-def test_certify_leaves_the_factor_check_to_the_construction(monkeypatch, pairs, make):
-    # certify classifies S without checking the factors, so it runs no
-    # connectivity test beyond those of the construction it dispatches to,
-    # two of which are the construction's factor check
+def test_certify_checks_the_factors_once(monkeypatch, pairs, total):
+    # the first two connectivity tests are classify_position's check of G
+    # and H; the builder certify dispatches to checks neither again, so the
+    # rest belong to its searches (vertex_connectivity, kappa_k) and each
+    # total is the one certify ran when it classified S twice
     calls = []
     real = Graph.is_connected
 
@@ -235,14 +229,10 @@ def test_certify_leaves_the_factor_check_to_the_construction(monkeypatch, pairs,
         return real(self, *args, **kwargs)
 
     g, h = complete(3), cycle(4)
-    s = _s(g, h, pairs)
     monkeypatch.setattr(Graph, "is_connected", counting)
-    make(g, h, s)
-    direct = list(calls)
-    calls.clear()
-    certify(g, h, s)
-    assert calls == direct
-    assert direct[:2] == [(g, (), {}), (h, (), {})]
+    certify(g, h, _s(g, h, pairs))
+    assert calls[:2] == [(g, (), {}), (h, (), {})]
+    assert len(calls) == total
 
 
 def test_certify_deterministic():
@@ -289,7 +279,7 @@ def test_claimed_bounds_not_above_exact():
         s = _s(g, h, pairs)
         cert = certify(g, h, s)
         _check(cert)
-        exact, _ = max_internally_disjoint_trees(prod, s)
+        exact, _ = max_internally_disjoint_trees(prod, s, Budget())
         assert cert.claimed_bound <= exact
 
 
@@ -340,20 +330,15 @@ def test_lower_bound_theorem15_ranges():
     assert bound(complete(4), 10) is None
 
 
-# K3 box K3: (0, 4, 8) all-distinct, (0, 1, 3) corner-share, (0, 3, 6)
-# same-g-fiber, (0, 1, 2) same-h-fiber
+# K3 box K3: (0, 3, 6) lies in one layer, not in one fiber
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda g: construct_lemma31(g, g, (0, 1, 2)), "all-distinct coordinates"),
-        (lambda g: construct_lemma32(g, g, (0, 4, 8)), "corner shape"),
-        (lambda g: construct_lemma33(g, g, (0, 1, 3)), "exactly one shared coordinate"),
-        (lambda g: construct_lemma34(g, g, (0, 1, 2)), "single layer"),
         (lambda g: construct_lemma41(g, g, (0, 3, 6)), "single fiber"),
         (lambda g: lower_bound_theorem15(0, 0, 2), "nontrivial connected factor"),
         (lambda g: lower_bound_theorem15(1, 1, 0), "l >= 1"),
     ],
-    ids=["3.1", "3.2", "3.3", "3.4", "4.1", "theorem15-kg", "theorem15-l"],
+    ids=["4.1", "theorem15-kg", "theorem15-l"],
 )
 def test_certificates_refuse_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
@@ -487,8 +472,8 @@ def test_lemma41_falls_back_without_cycle_segments(monkeypatch):
 def test_lemma41_forced_t_beyond_half_the_connectivity():
     # the bundle search refuses a t outside 0..k // 2, so a forced t beyond
     # l // 2 finds no bundle and Lemma 4.1 falls back to search (K4: l = 3)
-    assert find_reduced_bundle(complete(6), 4, 0, 1, 2, t=3) is None
-    assert find_reduced_bundle(complete(6), 4, 0, 1, 2, t=-1) is None
+    assert find_reduced_bundle(complete(6), 4, 0, 1, 2, t=3, budget=Budget()) is None
+    assert find_reduced_bundle(complete(6), 4, 0, 1, 2, t=-1, budget=Budget()) is None
     cert = construct_lemma41(path(2), complete(4), [0, 1, 2], t=2)
     assert cert.provenance == "search-fallback"
     assert cert.verify() is None
@@ -517,6 +502,34 @@ def test_lemma41_makes_one_budget_per_call(monkeypatch):
     cert = construct_lemma41(path(2), complete(4), [0, 1, 2], t=2)
     assert cert.provenance == "search-fallback"
     assert searched == [0, 1, 2] and len(made) == 1
+
+
+def test_certify_makes_one_budget_per_call(monkeypatch):
+    # Lemma 3.4 runs two searches, kappa_3(G) and the G-bundle; with no
+    # budget given, certify makes the one default both of them tick
+    made = []
+    real_init = Budget.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Budget, "__init__", counting_init)
+    g, h = complete(4), complete(3)
+    cert = certify(g, h, _s(g, h, [(0, 0), (1, 0), (2, 0)]))
+    assert cert.provenance == "3.4"
+    assert len(made) == 1
+
+
+def test_certify_and_construct_lemma41_agree():
+    # both ways in to Lemma 4.1 build the same document with the same ticks
+    g, h = path(2), complete_bipartite(4, 6)
+    s = _s(g, h, [(0, 0), (0, 1), (0, 2)])
+    a, b = Budget(), Budget()
+    via_certify = dump_document(certificate_document(certify(g, h, s, a)))
+    direct = dump_document(certificate_document(construct_lemma41(g, h, s, b)))
+    assert via_certify == direct
+    assert a.used == b.used > 0
 
 
 # -- caller's budget and pinned bytes --------------------------------------

@@ -17,6 +17,7 @@ from treeconn.connectivity import (
     max_disjoint_paths,
     vertex_connectivity,
 )
+from treeconn.errors import Budget
 from treeconn.graphs import (
     Graph,
     cartesian_product,
@@ -616,4 +617,4 @@ def test_count_only_callers_never_decompose(monkeypatch):
     g = cartesian_product(complete_bipartite(4, 4), cycle(8))
     assert vertex_connectivity(g) == 6
     assert kappa_k(cartesian_product(complete(3), complete(3)), 3)[0] == 3
-    assert find_reduced_bundle(_petersen(), 3, 0, 1, 2) is not None
+    assert find_reduced_bundle(_petersen(), 3, 0, 1, 2, budget=Budget()) is not None

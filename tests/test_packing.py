@@ -1,11 +1,13 @@
 import hashlib
+import inspect
 import random
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeconn import packing
+from treeconn import bundles, certificates, packing
+from treeconn.bundles import find_reduced_bundle
 from treeconn.connectivity import (
     kappa3_range_from_kappa,
     kappa3_upper_adjacent_min_degree,
@@ -378,7 +380,7 @@ def test_pack_trees_outputs_digest_pinned():
     # the filter skipped, so the same first packing is returned.
     digest = hashlib.sha256()
     for g, s, r in _pack_trees_digest_inputs():
-        bundle = pack_trees(g, s, r)
+        bundle = pack_trees(g, s, r, Budget())
         digest.update(repr((g.n, g.sorted_edges(), s, r, _trees(bundle))).encode())
     assert digest.hexdigest() == (
         "578629077f7913f24929476a0b57991535e86c8bf2ec35a34e5d004aa016da61"
@@ -412,7 +414,7 @@ def _assert_decide_agrees(g, s, r):
     """_decide packs r trees exactly when pack_trees does, and its packing
     passes verify_bundle."""
     bundle = packing._decide(g, s, r, Budget())
-    assert (bundle is not None) == (pack_trees(g, s, r) is not None), (g.edges, s, r)
+    assert (bundle is not None) == (pack_trees(g, s, r, Budget()) is not None), (g.edges, s, r)
     if bundle is not None:
         assert bundle.s == s and len(bundle) == r, (g.edges, s, r)
         assert verify_bundle(g.has_edge, bundle) is None, (g.edges, s, r)
@@ -481,7 +483,7 @@ def _brute_max_packing(g, s):
     """Largest family of pairwise internally disjoint minimal S-trees: no
     shared edge, no shared vertex outside S."""
     sset = set(s)
-    trees = [(t.edges, t.vertices - sset) for t in iter_minimal_s_trees(g, s)]
+    trees = [(t.edges, t.vertices - sset) for t in iter_minimal_s_trees(g, s, budget=Budget())]
     best = 0
 
     def rec(start, used_e, used_v, count):
@@ -506,7 +508,7 @@ def test_max_trees_match_brute_force_on_all_small_graphs():
     for g in _connected_graphs_up_to_5():
         for k in (3, 4):
             for s in combinations(range(g.n), k):
-                assert max_internally_disjoint_trees(g, s)[0] == _brute_max_packing(
+                assert max_internally_disjoint_trees(g, s, Budget())[0] == _brute_max_packing(
                     g, s
                 ), (g.edges, s)
 
@@ -575,8 +577,8 @@ def test_max_trees_monotone_under_edge_removal():
     sub = Graph(5, set(g.edges) - {(0, 1)})
     s = (0, 1, 2)
     assert (
-        max_internally_disjoint_trees(sub, s)[0]
-        <= max_internally_disjoint_trees(g, s)[0]
+        max_internally_disjoint_trees(sub, s, Budget())[0]
+        <= max_internally_disjoint_trees(g, s, Budget())[0]
     )
 
 
@@ -612,12 +614,12 @@ def test_automorphism_counts():
                      (complete_bipartite(2, 3), 12),
                      (complete_tripartite(2, 2, 3), 48),
                      (join_complete_empty2(3), 12)):
-        assert len(_group(g.n, automorphism_generators(g))) == order
+        assert len(_group(g.n, automorphism_generators(g, Budget()))) == order
 
 
 def test_orbit_reps_cover_all_subsets():
     g = cycle(6)
-    gens = automorphism_generators(g)
+    gens = automorphism_generators(g, Budget())
     autos = _group(g.n, gens)
     reps = subset_orbit_reps(g, 3, gens)
     # every 3-subset maps to some rep
@@ -639,7 +641,7 @@ def test_orbit_reps_match_full_group_on_all_small_graphs():
                 p for p in permutations(range(n))
                 if all(g.has_edge(p[a], p[b]) for a, b in g.edges)
             ]
-            gens = automorphism_generators(g)
+            gens = automorphism_generators(g, Budget())
             assert _group(n, gens) == set(autos)
             for k in range(1, n + 1):
                 ref = [
@@ -651,7 +653,7 @@ def test_orbit_reps_match_full_group_on_all_small_graphs():
 
 def test_orbit_reps_of_k9():
     k9 = complete(9)
-    assert subset_orbit_reps(k9, 3, automorphism_generators(k9)) == [(0, 1, 2)]
+    assert subset_orbit_reps(k9, 3, automorphism_generators(k9, Budget())) == [(0, 1, 2)]
 
 
 def test_automorphism_generators_of_relabelled_torus():
@@ -733,7 +735,7 @@ def _reference_orbit_reps(g, k, gens):
 
 def test_orbit_reps_match_reference_on_larger_graphs():
     rigid = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
-    assert automorphism_generators(rigid) == []
+    assert automorphism_generators(rigid, Budget()) == []
     graphs = [
         rigid, cycle(6), complete_tripartite(2, 2, 2), complete_bipartite(3, 4),
         cartesian_product(cycle(4), path(2)), path(8),
@@ -743,7 +745,7 @@ def test_orbit_reps_match_reference_on_larger_graphs():
     for g in graphs:
         for _ in range(2):
             lab = _relabelled(g, rng)
-            gens = automorphism_generators(lab)
+            gens = automorphism_generators(lab, Budget())
             for k in (2, 3, 4):
                 assert subset_orbit_reps(lab, k, gens) == _reference_orbit_reps(
                     lab, k, gens
@@ -786,7 +788,7 @@ def test_orbit_step_matches_brute_force_on_graphs_with_twins():
             p for p in permutations(range(g.n))
             if all(g.has_edge(p[a], p[b]) for a, b in g.edges)
         }
-        gens = automorphism_generators(g)
+        gens = automorphism_generators(g, Budget())
         assert _group(g.n, gens) == autos
         for k in (2, 3, 4):
             assert subset_orbit_reps(g, k, gens) == _reference_orbit_reps(g, k, gens)
@@ -844,11 +846,11 @@ _SPLIT = Graph(4, [(0, 1), (2, 3)])
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: list(iter_minimal_s_trees(complete(3), (0,))), "at least two terminals"),
-        (lambda: pack_trees(complete(3), (0,), 1), "at least two terminals"),
-        (lambda: pack_trees(complete(3), (0, 1, 2), 0), "r must be positive"),
-        (lambda: max_internally_disjoint_trees(complete(3), (1, 1)), "at least two terminals"),
-        (lambda: max_internally_disjoint_trees(_SPLIT, (0, 1, 2)), "must be connected"),
+        (lambda: list(iter_minimal_s_trees(complete(3), (0,), budget=Budget())), "at least two terminals"),
+        (lambda: pack_trees(complete(3), (0,), 1, Budget()), "at least two terminals"),
+        (lambda: pack_trees(complete(3), (0, 1, 2), 0, Budget()), "r must be positive"),
+        (lambda: max_internally_disjoint_trees(complete(3), (1, 1), Budget()), "at least two terminals"),
+        (lambda: max_internally_disjoint_trees(_SPLIT, (0, 1, 2), Budget()), "must be connected"),
         (lambda: kappa_k(complete(3), 1), r"need 2 <= k <= n"),
         (lambda: kappa_k(complete(3), 4), r"need 2 <= k <= n"),
         (lambda: kappa_k(_SPLIT, 3), "must be connected"),
@@ -936,3 +938,32 @@ def test_kappa_k_triples_pinned():
     assert ticks.hexdigest() == (
         "9bede24e1cb7dd1a1308d7e7ccec2503a90088a6debc243fc1835f6fdf6f1d53"
     )
+
+
+# -- the budget rule ---------------------------------------------------------
+
+
+def test_searches_take_their_callers_budget():
+    # a search below the entry points never makes a default budget of its
+    # own, so one caller's budget bounds the whole call
+    for search in (pack_trees, max_internally_disjoint_trees, automorphism_generators,
+                   find_reduced_bundle, iter_minimal_s_trees):
+        param = inspect.signature(search).parameters["budget"]
+        assert param.default is inspect.Parameter.empty, search.__name__
+    # only the entry points make the default; factor_kappa3 hands its None
+    # on to kappa_k
+    public = {
+        name: fn
+        for mod in (packing, bundles, certificates)
+        for name, fn in vars(mod).items()
+        if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+        and not name.startswith("_")
+        and "budget" in inspect.signature(fn).parameters
+    }
+    defaults = {
+        name for name, fn in public.items()
+        if inspect.signature(fn).parameters["budget"].default is None
+    }
+    makers = {name for name, fn in public.items() if "Budget()" in inspect.getsource(fn)}
+    assert makers == {"certify", "construct_lemma41", "kappa_k", "find_cycle_through_edges"}
+    assert defaults == makers | {"factor_kappa3"}
