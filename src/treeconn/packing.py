@@ -37,6 +37,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import comb
 from typing import AbstractSet, Callable, Iterator, Optional, Sequence
 
 from .connectivity import (
@@ -452,22 +453,29 @@ def automorphism_generators(g: Graph, budget: Budget) -> list[tuple[int, ...]]:
     i, every c > i outside i's orbit under the generators found so far
     (all of which fix 0..i-1) gets one search, a twin test or else a
     backtracking search, for an automorphism that fixes 0..i-1 and maps i
-    to c.  The first one found joins the generators, and the orbit is
-    closed again.  Afterwards the generators with base point >= i generate
-    the stabilizer of 0..i-1.  Distances are computed once, as one BFS
-    from every vertex.  One budget tick per search node.
+    to c.  The first one found joins the generators, and the orbits of x
+    and p[x], x >= i, are merged, smaller into larger.  The generators with
+    base point >= i generate the stabilizer of 0..i-1.  A BFS distance row
+    is run on a first read past the twin test.  One tick per search node.
     """
     n = g.n
-    dist = [_distances(g, v) for v in range(n)]
+    dist: list[list[int]] = [[] for _ in range(n)]
     nbrs = [frozenset(ys) for ys in g.adj]
+    block = [{v} for v in range(n)]
     gens: list[tuple[int, ...]] = []
     for i in range(n - 2, -1, -1):
         search = _stabilizer_search(g, dist, nbrs, i, budget)
-        orbit = {i}
         for c in range(i + 1, n):
-            if c not in orbit and (perm := search(c)) is not None:
+            if block[c] is not block[i] and (perm := search(c)) is not None:
                 gens.append(perm)
-                orbit = _orbit(i, gens)
+                for x, y in enumerate(perm[i:], i):
+                    big, small = block[x], block[y]
+                    if big is not small:
+                        if len(big) < len(small):
+                            big, small = small, big
+                        big |= small
+                        for z in small:
+                            block[z] = big
     return gens
 
 
@@ -505,9 +513,9 @@ def _stabilizer_search(
     i to c, or None.
 
     Twins i and c (equal neighbourhoods apart from each other) get (i c),
-    which fixes 0..i-1 as c > i.  Any other c must first match i's degree,
-    distances to and neighbours among 0..i-1; only then does the level
-    build, once, what the backtracking below needs.
+    which fixes 0..i-1 as c > i.  Any other c must first match i's degree
+    and distances to 0..i-1 (a `dist` row is computed on first read); only
+    then does the level fill every row and build what the backtracking needs.
 
     The backtracking places i on c.  The other vertices are placed in BFS
     order from {0..i} (by distance from that set, `min(dist[x][: i + 1])`,
@@ -519,17 +527,22 @@ def _stabilizer_search(
     images of the vertex's placed neighbours.
     """
     n, adj = g.n, g.adj
-    fixed = frozenset(range(i))
-    root = (len(nbrs[i]), dist[i][:i], nbrs[i] & fixed)
+    root: list[tuple[int, list[int]]] = []
     tables: list[tuple[list[int], list[list[int]], list[int]]] = []
 
     def search(c: int) -> Optional[tuple[int, ...]]:
         budget.tick()
         if nbrs[i] - {c} == nbrs[c] - {i}:
             return (*range(i), c, *range(i + 1, c), i, *range(c + 1, n))
-        if (len(nbrs[c]), dist[c][:i], nbrs[c] & fixed) != root:
+        if not root:
+            dist[i] = dist[i] or _distances(g, i)
+            root.append((len(nbrs[i]), dist[i][:i]))
+        dist[c] = dist[c] or _distances(g, c)
+        if (len(nbrs[c]), dist[c][:i]) != root[0]:
             return None
         if not tables:
+            if [] in dist:
+                dist[:] = [row or _distances(g, v) for v, row in enumerate(dist)]
             order = sorted(range(n), key=lambda x: (min(dist[x][: i + 1]), x))
             rank = {v: r for r, v in enumerate(order)}
             earlier = [[y for y in adj[x] if rank[y] < rank[x]] for x in range(n)]
@@ -538,7 +551,7 @@ def _stabilizer_search(
             tables.append((order, earlier, cell))
         order, earlier, cell = tables[0]
         perm = [*range(i), c] + [-1] * (n - i - 1)
-        used = {*fixed, c}
+        used = {*range(i), c}
         to_c, to_i = dist[c], dist[i]
 
         def rec(pos: int) -> bool:
@@ -576,19 +589,18 @@ def subset_orbit_reps(
     the group the generators `gens` generate, in `combinations` order.
 
     A subset not in the orbit of an earlier one is the least of its own.
-    Subsets are numbered in `combinations` order and keyed by bitmask; a
-    generator p permutes the numbers, its image masks summed by
-    `combinations` over the bits 1 << p[v], and orbits are point orbits."""
-    n = g.n
-    masks = map(sum, combinations([1 << v for v in range(n)], k))
-    index = {m: j for j, m in enumerate(masks)}
-    perms = [
-        [index[m] for m in map(sum, combinations([1 << y for y in p], k))]
-        for p in gens
-    ]
+    Numbered in `combinations` order, subsets descend in the mask with bit
+    n-1-v per member v; a generator's image masks (`combinations` over its
+    bits, summed) sorted descending give its inverse, with the same orbits."""
+    # sorted from one list, the permutations share its int objects
+    ids = list(range(comb(g.n, k)))
+    perms: list[list[int]] = []
+    for p in gens:
+        images = list(map(sum, combinations([1 << (g.n - 1 - y) for y in p], k)))
+        perms.append(sorted(ids, key=images.__getitem__, reverse=True))
     reps: list[tuple[int, ...]] = []
     seen: set[int] = set()
-    for j, sub in enumerate(combinations(range(n), k)):
+    for j, sub in enumerate(combinations(range(g.n), k)):
         if j not in seen:
             reps.append(sub)
             seen |= _orbit(j, perms)

@@ -767,6 +767,31 @@ def test_twins_get_their_transposition_at_the_root():
         automorphism_generators(complete(9), Budget(7))
 
 
+def test_twin_levels_compute_no_distances(monkeypatch):
+    # a distance row is computed the first time a search past the twin test
+    # reads it, once: K9's levels are all answered by twins and run no BFS,
+    # Petersen (no twins) backtracks and runs one BFS per vertex.  Computing
+    # rows on demand must not change the generators
+    calls = []
+    real = packing._distances
+
+    def counting(g, v):
+        calls.append(v)
+        return real(g, v)
+
+    monkeypatch.setattr(packing, "_distances", counting)
+    assert automorphism_generators(complete(9), Budget()) == [
+        tuple(i + 1 if x == i else i if x == i + 1 else x for x in range(9))
+        for i in range(7, -1, -1)
+    ]
+    assert calls == []
+    assert automorphism_generators(_petersen(), Budget()) == [
+        (0, 1, 2, 7, 5, 4, 6, 3, 9, 8), (0, 1, 6, 8, 5, 4, 2, 9, 3, 7),
+        (0, 4, 3, 2, 1, 5, 9, 8, 7, 6), (1, 0, 4, 3, 2, 6, 5, 9, 8, 7),
+    ]
+    assert sorted(calls) == list(range(10))
+
+
 def _with_planted_twins(rng):
     """A seeded graph on at most 7 vertices: a random graph, then a false
     twin of one of its vertices (same neighbours, not adjacent) and a true
