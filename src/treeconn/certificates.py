@@ -495,9 +495,10 @@ def construct_lemma41(
 ) -> Certificate:
     """Certificate for S inside one fiber (all G-coordinates equal).
 
-    By default the bundle with the smallest t is used; passing t forces
-    that bundle shape (any witnessed shape yields a valid certificate).
-    Every search ticks `budget`, by default one `Budget()` for the call."""
+    By default the bundle has the least t, at the first anchor v3 of S
+    ascending; a given t forces that shape (any witnessed one is valid),
+    the anchors tried in order.  Every search ticks `budget`, by default
+    one `Budget()` for the call."""
     pos = classify_position(g, h, s)
     if pos.label != "same-h-fiber":
         raise ValueError("S must lie in a single fiber of the product")
@@ -508,7 +509,8 @@ def _lemma41(
     g: Graph, h: Graph, s: Sequence[int], pos: SPosition, budget: Budget,
     t: Optional[int] = None,
 ) -> Certificate:
-    """`construct_lemma41` once S is known to lie in one fiber."""
+    """`construct_lemma41` once S is known to lie in one fiber: the first
+    bundle found, t ascending (or the forced t), then the anchors v3."""
     pairs = pos.pairs
     u1 = pairs[0][0]
     vset = sorted(v for _, v in pairs)
@@ -518,17 +520,14 @@ def _lemma41(
     nbrs = list(g.neighbors(u1))
     fallback_claim = prop42_bound(l, delta1)
 
-    best = None
-    for v3 in vset:
-        va, vb = [v for v in vset if v != v3]
-        rb = find_reduced_bundle(h, l, va, vb, v3, t=t, budget=budget)
-        if rb is not None and (best is None or rb.base.t < best.base.t):
-            best = rb
-        if best is not None and best.base.t == (t if t is not None else 0):
-            break
-    if best is None:
+    searches = (
+        find_reduced_bundle(h, l, *[v for v in vset if v != v3], v3, t=tv, budget=budget)
+        for tv in (range(l // 2 + 1) if t is None else [t])
+        for v3 in vset
+    )
+    rb = next((rb for rb in searches if rb is not None), None)
+    if rb is None:
         return _fallback(g, h, s, fallback_claim, budget)
-    rb = best
     t = rb.base.t
     v1, v2, v3 = rb.base.u1, rb.base.u2, rb.base.u3
     claimed = l + delta1 if t == 0 else _bound41(l, delta1, t)

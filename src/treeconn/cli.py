@@ -257,8 +257,6 @@ def cmd_kappa3(args) -> int:
     if g.n < 3:
         raise InputError("kappa_3 needs at least three vertices")
     if args.mode == "exact":
-        if not g.is_connected():
-            raise InputError("graph must be connected for exact kappa_3")
         try:
             value, witness, _ = kappa_k(g, 3, budget, use_symmetry=True)
         except BudgetExhausted:

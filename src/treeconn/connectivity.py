@@ -263,13 +263,13 @@ def _seed_routes(
 
 def vertex_connectivity(g: Graph) -> int:
     """kappa(G); n-1 for complete graphs, 0 when disconnected."""
-    if not g.is_connected():
-        return 0
     if g.is_complete():
         return g.n - 1
     # A minimum cut C either misses v, and then separates v from some
     # non-neighbour, or contains v, and then separates two neighbours of v
-    # (v has a neighbour in every component of G - C).
+    # (v has a neighbour in every component of G - C).  A disconnected G
+    # needs no test of its own: v is isolated (best starts at 0), or has a
+    # non-neighbour in another component, whose count is 0.
     v = min(range(g.n), key=g.degree)
     nbrs = g.neighbors(v)
     pairs = [(v, w) for w in range(g.n) if w != v and not g.has_edge(v, w)]

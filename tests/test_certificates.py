@@ -208,19 +208,19 @@ def test_certify_refuses_what_classify_position_refuses():
 @pytest.mark.parametrize(
     "pairs, total",
     [
-        ([(0, 0), (1, 1), (2, 2)], 4),
-        ([(0, 0), (0, 1), (1, 0)], 4),
-        ([(0, 0), (1, 0), (2, 1)], 4),
+        ([(0, 0), (1, 1), (2, 2)], 2),
+        ([(0, 0), (0, 1), (1, 0)], 2),
+        ([(0, 0), (1, 0), (2, 1)], 2),
         ([(0, 0), (1, 0), (2, 0)], 4),
-        ([(0, 0), (0, 1), (0, 2)], 3),
+        ([(0, 0), (0, 1), (0, 2)], 2),
     ],
     ids=["3.1", "3.2", "3.3", "3.4", "4.1"],
 )
 def test_certify_checks_the_factors_once(monkeypatch, pairs, total):
     # the first two connectivity tests are classify_position's check of G
-    # and H; the builder certify dispatches to checks neither again, so the
-    # rest belong to its searches (vertex_connectivity, kappa_k) and each
-    # total is the one certify ran when it classified S twice
+    # and H, and neither the builder certify dispatches to nor
+    # vertex_connectivity checks them again; only Lemma 3.4's exact
+    # searches on G (kappa_k, max_internally_disjoint_trees) add their own
     calls = []
     real = Graph.is_connected
 
@@ -502,6 +502,47 @@ def test_lemma41_makes_one_budget_per_call(monkeypatch):
     cert = construct_lemma41(path(2), complete(4), [0, 1, 2], t=2)
     assert cert.provenance == "search-fallback"
     assert searched == [0, 1, 2] and len(made) == 1
+
+
+@pytest.mark.parametrize(
+    "h, searches, used, digest",
+    [
+        (
+            complete(5), [(1, 2, 0, 0), (0, 2, 1, 0), (0, 1, 2, 0), (1, 2, 0, 1)], 17,
+            "f015bac52036556618c33a629bea9d2e25ae540ec2f6998a22520c6ba4e1d387",
+        ),
+        (
+            cycle(5), [(1, 2, 0, 0), (0, 2, 1, 0), (0, 1, 2, 0), (1, 2, 0, 1)], 5,
+            "846f27e265ace7c7cc64ce4542cf6aef25e1d8c5f6cb6332e6354b477767661f",
+        ),
+        (
+            complete_bipartite(3, 3), [(1, 2, 0, 0)], 10,
+            "f84438c95c4c585486c7498b951a1a1ddfafad82410f9c78c5685aaa064be070",
+        ),
+    ],
+    ids=["K5", "C5", "K33"],
+)
+def test_lemma41_takes_the_first_bundle_in_t_then_anchor_order(
+    monkeypatch, h, searches, used, digest
+):
+    # S = (0, 1, 2) on P2 box H: each t ascending is tried at the anchors
+    # v3 = 0, 1, 2 in turn, and the first bundle found is used.  K5 and C5
+    # have none at t = 0 and one at t = 1 on the first anchor, so no anchor
+    # is searched at t = 1 twice (searching every anchor up to its own least
+    # t takes 51 and 15 ticks); K3,3 has a t = 0 bundle at the first anchor.
+    calls = []
+    real = certificates.find_reduced_bundle
+
+    def spy(h, k, u1, u2, u3, t=None, *, budget):
+        calls.append((u1, u2, u3, t))
+        return real(h, k, u1, u2, u3, t, budget=budget)
+
+    monkeypatch.setattr(certificates, "find_reduced_bundle", spy)
+    budget = Budget()
+    doc = dump_document(certificate_document(certify(path(2), h, (0, 1, 2), budget)))
+    assert calls == searches
+    assert budget.used == used
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 def test_certify_makes_one_budget_per_call(monkeypatch):

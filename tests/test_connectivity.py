@@ -96,6 +96,15 @@ SMALL_GRAPHS = [
         + [(a, b) for a in range(6, 11) for b in range(a + 1, 11)]
         + [(0, 1), (0, 2), (0, 6), (0, 7)],
     ),
+    # disconnected, so kappa = 0: vertex 0, of minimum degree, is isolated
+    # beside a K3; then it lies in a C4 beside a K4, and its first
+    # non-neighbour, 2, is in its own component (two paths) before 4 gives 0
+    Graph(4, [(1, 2), (2, 3), (1, 3)]),
+    Graph(
+        8,
+        [(0, 1), (1, 2), (2, 3), (0, 3)]
+        + [(a, b) for a in range(4, 8) for b in range(a + 1, 8)],
+    ),
 ]
 
 
